@@ -23,17 +23,21 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz passes over the frame codec, the line-coding round trip,
-# and the network planner (extend -fuzztime for deeper runs). FuzzDecode
+# the network planner, and the serve journal decoder (extend -fuzztime
+# for deeper runs). FuzzDecode
 # covers arbitrary buffers; FuzzDecodeMutated covers single-mutation
 # corruption of valid frames (bit flips and truncations at the
 # validation boundaries); FuzzPlan covers adversarial topologies
 # (NaN/infinite positions, negative loads, degenerate batteries) against
-# net.Plan's typed-error contract.
+# net.Plan's typed-error contract; FuzzDecodeJournalLine covers arbitrary
+# and single-mutation journal lines against the serve journal decoder's
+# record-or-error contract.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecode$$ -fuzztime=10s ./internal/frame
 	$(GO) test -run=NONE -fuzz=FuzzDecodeMutated -fuzztime=10s ./internal/frame
 	$(GO) test -run=NONE -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/linecode
 	$(GO) test -run=NONE -fuzz=FuzzPlan -fuzztime=10s ./internal/net
+	$(GO) test -run=NONE -fuzz=FuzzDecodeJournalLine -fuzztime=10s ./internal/serve
 
 # Coverage floors for the paper-critical packages (offload solver, hub
 # engine, MAC, network scheduler). Set a few points below current

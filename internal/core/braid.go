@@ -285,7 +285,7 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 				}
 				alloc = a
 			} else {
-				if err := optimizeInto(&s.alloc, links, e1, e2); err != nil {
+				if err := OptimizeInto(&s.alloc, links, e1, e2); err != nil {
 					return err
 				}
 				alloc = &s.alloc

@@ -40,7 +40,7 @@ func TestBraidSwitchCountRounding(t *testing.T) {
 		p := make([]float64, len(links))
 		p[0], p[1] = 0.5, 0.5
 		a := &Allocation{Links: links, P: p}
-		a.TX, a.RX = mixture(links, p)
+		a.TX, a.RX = mixture(linkCosts(links, new(rowBuf)), p)
 		a.Bits = bitsFor(a.TX, a.RX, e1, e2)
 		return a, nil
 	}

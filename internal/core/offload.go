@@ -73,28 +73,62 @@ func (a *Allocation) Dominant() phy.Mode {
 // ErrNoLinks reports that no mode is available (out of range).
 var ErrNoLinks = errors.New("core: no links available")
 
-// validateInputs rejects nonsense budgets and dead links.
-func validateInputs(links []phy.ModeLink, e1, e2 units.Joule) error {
-	if len(links) == 0 {
+// costRow is the input of one Eq. (1) decision: the available modes
+// and their per-useful-bit costs (T_i, R_i) in canonical order, as
+// parallel columns of any length. The batch kernels slice it straight
+// out of one slot of the arena's columns; the scalar solvers project
+// their links onto it with linkCosts. Every solver's arithmetic is
+// written once, over this row, so the two paths are bit-identical by
+// construction.
+type costRow struct {
+	mode []phy.Mode
+	t, r []units.JoulesPerBit
+}
+
+// rowBuf is storage for projecting up to phy.NumModes links onto a
+// costRow without touching the heap.
+type rowBuf struct {
+	mode [phy.NumModes]phy.Mode
+	t, r [phy.NumModes]units.JoulesPerBit
+}
+
+// linkCosts projects links onto a costRow backed by buf, spilling to the
+// heap only when a caller passes more than phy.NumModes links.
+func linkCosts(links []phy.ModeLink, buf *rowBuf) costRow {
+	row := costRow{buf.mode[:0], buf.t[:0], buf.r[:0]}
+	for _, l := range links {
+		row.mode = append(row.mode, l.Mode)
+		row.t = append(row.t, l.T)
+		row.r = append(row.r, l.R)
+	}
+	return row
+}
+
+// validateRow rejects nonsense budgets and dead links — the one input
+// check every solver runs.
+func validateRow(row costRow, e1, e2 units.Joule) error {
+	if len(row.t) == 0 {
 		return ErrNoLinks
 	}
 	if e1 <= 0 || e2 <= 0 {
 		return fmt.Errorf("core: non-positive budgets %v/%v", float64(e1), float64(e2))
 	}
-	for _, l := range links {
-		if l.T <= 0 || l.R <= 0 || math.IsInf(float64(l.T), 1) || math.IsInf(float64(l.R), 1) {
-			return fmt.Errorf("core: link %v has unusable costs %v/%v", l.Mode, l.T, l.R)
+	for i, t := range row.t {
+		r := row.r[i]
+		if t <= 0 || r <= 0 || math.IsInf(float64(t), 1) || math.IsInf(float64(r), 1) {
+			return fmt.Errorf("core: link %v has unusable costs %v/%v", row.mode[i], t, r)
 		}
 	}
 	return nil
 }
 
-// mixture computes the average costs of a fraction vector.
-func mixture(links []phy.ModeLink, p []float64) (tx, rx units.JoulesPerBit) {
+// mixture computes the average costs of a fraction vector: the full
+// dot product over every slot, zeros included.
+func mixture(row costRow, p []float64) (tx, rx units.JoulesPerBit) {
 	var t, r float64
-	for i, l := range links {
-		t += p[i] * float64(l.T)
-		r += p[i] * float64(l.R)
+	for i := range row.t {
+		t += p[i] * float64(row.t[i])
+		r += p[i] * float64(row.r[i])
 	}
 	return units.JoulesPerBit(t), units.JoulesPerBit(r)
 }
@@ -104,72 +138,47 @@ func bitsFor(tx, rx units.JoulesPerBit, e1, e2 units.Joule) float64 {
 	return math.Min(float64(e1)/float64(tx), float64(e2)/float64(rx))
 }
 
-// Optimize returns the bit-maximizing allocation for the given links and
-// budgets (E1 at the transmitter, E2 at the receiver).
+// bestMode returns the pure mode delivering the most bits and that bit
+// count (-1 with index -1 when no mode compares greater, e.g. NaN
+// budgets). Ties keep the earliest mode.
+func bestMode(row costRow, e1, e2 units.Joule) (best int, bits float64) {
+	best, bits = -1, -1
+	for i := range row.t {
+		if b := bitsFor(row.t[i], row.r[i], e1, e2); b > bits {
+			best, bits = i, b
+		}
+	}
+	return best, bits
+}
+
+// enumerate is the closed-form Eq. (1) kernel behind Optimize and
+// OptimizeBatch: it writes the bit-maximizing fractions over a validated
+// row into p (as long as the row) and returns the mixture's costs and
+// deliverable bits.
 //
 // The objective min(E1/T̄, E2/R̄) is quasi-concave over the simplex, so
 // the optimum is either a pure mode or a two-mode mix whose consumption
-// ratio exactly matches E1:E2; Optimize enumerates all of them.
-func Optimize(links []phy.ModeLink, e1, e2 units.Joule) (*Allocation, error) {
-	a := &Allocation{}
-	if err := optimizeInto(a, links, e1, e2); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// OptimizeInto is Optimize solving into caller-owned storage: dst's P
-// slice is resized in place. scratch is retained for API compatibility
-// and no longer used — the enumeration tracks the winning candidate by
-// index instead of materializing fraction vectors. core.Braid's
-// default-optimizer path and the serve daemon's epoch planner call this
-// with persistent dst buffers so a solve performs no heap allocation.
-func OptimizeInto(dst *Allocation, scratch []float64, links []phy.ModeLink, e1, e2 units.Joule) error {
-	_ = scratch
-	return optimizeInto(dst, links, e1, e2)
-}
-
-// optimizeInto is Optimize solving into caller-owned storage: dst's P
-// slice is resized in place.
-//
-// The enumeration tracks the winner by candidate index instead of
-// materializing each candidate's fraction vector. This is bit-identical
-// to mixing the full vector: a pure mode's mixture is exactly (T_i, R_i)
-// and a two-mode mix has exactly two nonzero terms, and in IEEE
-// arithmetic 0·x = +0 and y + (+0) = y exactly (all costs are positive),
-// so the zero terms of the generic dot product never change a bit.
-// Candidate order (pure modes first, then pairs i<j) and the strict
-// improvement comparison are preserved, so the winner — and every output
-// bit — matches the generic enumeration. The hub's golden metrics pin
-// this equivalence.
-func optimizeInto(dst *Allocation, links []phy.ModeLink, e1, e2 units.Joule) error {
-	if err := validateInputs(links, e1, e2); err != nil {
-		return err
-	}
-	ratio := float64(e1) / float64(e2)
-	if cap(dst.P) < len(links) {
-		dst.P = make([]float64, len(links))
-	}
-	dst.Links, dst.P = links, dst.P[:len(links)]
-
-	bestI, bestJ := -1, -1
-	bestQ := 0.0
-	var bestTX, bestRX units.JoulesPerBit
-	bestBits := -1.0
-	// Pure modes.
-	for i := range links {
-		bits := bitsFor(links[i].T, links[i].R, e1, e2)
-		if bits > bestBits {
-			bestI, bestJ = i, -1
-			bestTX, bestRX, bestBits = links[i].T, links[i].R, bits
-		}
-	}
+// ratio exactly matches E1:E2. Candidates are visited pure modes first,
+// then pairs i<j, and only a strictly better one replaces the incumbent.
+// The winner is tracked by index instead of materializing each
+// candidate's fraction vector; this is bit-identical to mixing the full
+// vector, because a pure mode's mixture is exactly (T_i, R_i), a
+// two-mode mix has exactly two nonzero terms, and in IEEE arithmetic
+// 0·x = +0 and y + (+0) = y exactly (all costs are positive).
+func enumerate(row costRow, e1, e2 units.Joule, p []float64) (tx, rx units.JoulesPerBit, bits float64) {
+	T, R := row.t, row.r
+	bestI, bits := bestMode(row, e1, e2)
+	tx, rx = T[bestI], R[bestI]
+	bestJ, bestQ := -1, 0.0
 	// Ratio-matched two-mode mixes: solve
 	// (q·T_i + (1−q)·T_j) / (q·R_i + (1−q)·R_j) = ratio for q ∈ (0,1).
-	for i := range links {
-		for j := i + 1; j < len(links); j++ {
-			ai := float64(links[i].T) - ratio*float64(links[i].R)
-			aj := float64(links[j].T) - ratio*float64(links[j].R)
+	ratio := float64(e1) / float64(e2)
+	for i := range T {
+		ti, ri := T[i], R[i]
+		ai := float64(ti) - ratio*float64(ri)
+		for j := i + 1; j < len(T); j++ {
+			tj, rj := T[j], R[j]
+			aj := float64(tj) - ratio*float64(rj)
 			den := ai - aj
 			if den == 0 {
 				continue
@@ -180,27 +189,54 @@ func optimizeInto(dst *Allocation, links []phy.ModeLink, e1, e2 units.Joule) err
 			}
 			qj := 1 - q
 			var t, r float64
-			t += q * float64(links[i].T)
-			t += qj * float64(links[j].T)
-			r += q * float64(links[i].R)
-			r += qj * float64(links[j].R)
-			tx, rx := units.JoulesPerBit(t), units.JoulesPerBit(r)
-			bits := bitsFor(tx, rx, e1, e2)
-			if bits > bestBits {
+			t += q * float64(ti)
+			t += qj * float64(tj)
+			r += q * float64(ri)
+			r += qj * float64(rj)
+			mtx, mrx := units.JoulesPerBit(t), units.JoulesPerBit(r)
+			if b := bitsFor(mtx, mrx, e1, e2); b > bits {
 				bestI, bestJ, bestQ = i, j, q
-				bestTX, bestRX, bestBits = tx, rx, bits
+				tx, rx, bits = mtx, mrx, b
 			}
 		}
 	}
-	for k := range dst.P {
-		dst.P[k] = 0
+	for k := range p {
+		p[k] = 0
 	}
 	if bestJ < 0 {
-		dst.P[bestI] = 1
+		p[bestI] = 1
 	} else {
-		dst.P[bestI], dst.P[bestJ] = bestQ, 1-bestQ
+		p[bestI], p[bestJ] = bestQ, 1-bestQ
 	}
-	dst.TX, dst.RX, dst.Bits = bestTX, bestRX, bestBits
+	return tx, rx, bits
+}
+
+// Optimize returns the bit-maximizing allocation for the given links and
+// budgets (E1 at the transmitter, E2 at the receiver): a pure mode or
+// the ratio-matched two-mode mix that delivers the most bits.
+func Optimize(links []phy.ModeLink, e1, e2 units.Joule) (*Allocation, error) {
+	a := &Allocation{}
+	if err := OptimizeInto(a, links, e1, e2); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// OptimizeInto is Optimize solving into caller-owned storage: dst's P
+// slice is resized in place. core.Braid's default-optimizer path and the
+// network planner call this with persistent dst buffers so a solve
+// performs no heap allocation.
+func OptimizeInto(dst *Allocation, links []phy.ModeLink, e1, e2 units.Joule) error {
+	var buf rowBuf
+	row := linkCosts(links, &buf)
+	if err := validateRow(row, e1, e2); err != nil {
+		return err
+	}
+	if cap(dst.P) < len(links) {
+		dst.P = make([]float64, len(links))
+	}
+	dst.Links, dst.P = links, dst.P[:len(links)]
+	dst.TX, dst.RX, dst.Bits = enumerate(row, e1, e2, dst.P)
 	return nil
 }
 
@@ -209,9 +245,8 @@ func optimizeInto(dst *Allocation, links []phy.ModeLink, e1, e2 units.Joule) err
 // proportionality row's entries near the simplex solver's absolute
 // pivot tolerance and lets a near-eps pivot corrupt the well-scaled
 // Σp = 1 row. Both the row (= 0) and the objective are invariant under
-// positive scaling, so SolveEq1 and SolveEq1Batch normalize each by its
-// largest magnitude — through this one function, so the two paths stay
-// bit-identical.
+// positive scaling, so solveEq1 normalizes each by its largest
+// magnitude.
 func scaleRowMax(row []float64) {
 	maxAbs := 0.0
 	for _, v := range row {
@@ -226,32 +261,42 @@ func scaleRowMax(row []float64) {
 	}
 }
 
+// solveEq1 is the one Eq. (1) simplex solve behind SolveEq1 and
+// SolveEq1Batch: it builds the paper's program over a validated row into
+// c, aRow and ones (each as long as the row) — minimize Σ p_i (T_i + R_i)
+// subject to Σ p_i = 1 and Σ p_i (T_i − ratio·R_i) = 0 — and solves it
+// warm from basis (cold when basis is empty).
+func solveEq1(row costRow, e1, e2 units.Joule, basis []int, c, aRow, ones []float64) (*lp.Solution, bool, error) {
+	ratio := float64(e1) / float64(e2)
+	for i, t := range row.t {
+		r := row.r[i]
+		c[i] = float64(t) + float64(r)
+		aRow[i] = float64(t) - ratio*float64(r)
+		ones[i] = 1
+	}
+	scaleRowMax(aRow)
+	scaleRowMax(c)
+	return lp.SolveWarm(&lp.Problem{C: c, A: [][]float64{ones, aRow}, B: []float64{1, 0}}, basis)
+}
+
 // SolveEq1 solves the paper's Eq. 1 exactly via the simplex solver:
 // minimize total per-bit cost subject to power-proportional consumption.
 // It returns lp.ErrInfeasible when the battery ratio is outside the
 // achievable span (the regime where Optimize clamps to a pure mode).
 func SolveEq1(links []phy.ModeLink, e1, e2 units.Joule) (*Allocation, error) {
-	if err := validateInputs(links, e1, e2); err != nil {
+	var buf rowBuf
+	row := linkCosts(links, &buf)
+	if err := validateRow(row, e1, e2); err != nil {
 		return nil, err
 	}
-	ratio := float64(e1) / float64(e2)
 	n := len(links)
-	c := make([]float64, n)
-	aRow := make([]float64, n)
-	ones := make([]float64, n)
-	for i, l := range links {
-		c[i] = float64(l.T) + float64(l.R)
-		aRow[i] = float64(l.T) - ratio*float64(l.R)
-		ones[i] = 1
-	}
-	scaleRowMax(aRow)
-	scaleRowMax(c)
-	sol, err := lp.Solve(&lp.Problem{C: c, A: [][]float64{ones, aRow}, B: []float64{1, 0}})
+	lpRows := make([]float64, 3*n)
+	sol, _, err := solveEq1(row, e1, e2, nil, lpRows[:n], lpRows[n:2*n], lpRows[2*n:])
 	if err != nil {
 		return nil, err
 	}
 	alloc := &Allocation{Links: links, P: sol.X}
-	alloc.TX, alloc.RX = mixture(links, sol.X)
+	alloc.TX, alloc.RX = mixture(row, sol.X)
 	alloc.Bits = bitsFor(alloc.TX, alloc.RX, e1, e2)
 	return alloc, nil
 }
@@ -259,27 +304,26 @@ func SolveEq1(links []phy.ModeLink, e1, e2 units.Joule) (*Allocation, error) {
 // BestSingleMode returns the pure-mode allocation maximizing bits — the
 // Fig. 16 baseline ("the best of the three modes in isolation").
 func BestSingleMode(links []phy.ModeLink, e1, e2 units.Joule) (*Allocation, error) {
-	if err := validateInputs(links, e1, e2); err != nil {
+	var buf rowBuf
+	row := linkCosts(links, &buf)
+	if err := validateRow(row, e1, e2); err != nil {
 		return nil, err
 	}
-	best := &Allocation{Links: links, P: make([]float64, len(links)), Bits: -1}
-	for i := range links {
-		bits := bitsFor(links[i].T, links[i].R, e1, e2)
-		if bits > best.Bits {
-			for j := range best.P {
-				best.P[j] = 0
-			}
-			best.P[i] = 1
-			best.TX, best.RX, best.Bits = links[i].T, links[i].R, bits
-		}
+	best := &Allocation{Links: links, P: make([]float64, len(links))}
+	i, bits := bestMode(row, e1, e2)
+	if i >= 0 {
+		best.P[i] = 1
+		best.TX, best.RX = links[i].T, links[i].R
 	}
+	best.Bits = bits
 	return best, nil
 }
 
 // SingleMode returns the pure allocation for one specific mode, if
 // available in links.
 func SingleMode(links []phy.ModeLink, m phy.Mode, e1, e2 units.Joule) (*Allocation, error) {
-	if err := validateInputs(links, e1, e2); err != nil {
+	var buf rowBuf
+	if err := validateRow(linkCosts(links, &buf), e1, e2); err != nil {
 		return nil, err
 	}
 	for i, l := range links {

@@ -25,7 +25,9 @@ import (
 // the required power proportion, and ErrRateUnreachable when even the
 // fastest single link is slower than minRate.
 func OptimizeQoS(links []phy.ModeLink, e1, e2 units.Joule, minRate units.BitRate) (*Allocation, error) {
-	if err := validateInputs(links, e1, e2); err != nil {
+	var buf rowBuf
+	row := linkCosts(links, &buf)
+	if err := validateRow(row, e1, e2); err != nil {
 		return nil, err
 	}
 	if minRate <= 0 {
@@ -63,7 +65,7 @@ func OptimizeQoS(links []phy.ModeLink, e1, e2 units.Joule, minRate units.BitRate
 	})
 	if err == nil {
 		alloc := &Allocation{Links: links, P: sol.X[:n]}
-		alloc.TX, alloc.RX = mixture(links, alloc.P)
+		alloc.TX, alloc.RX = mixture(row, alloc.P)
 		alloc.Bits = bitsFor(alloc.TX, alloc.RX, e1, e2)
 		return alloc, nil
 	}
@@ -85,7 +87,7 @@ func OptimizeQoS(links []phy.ModeLink, e1, e2 units.Joule, minRate units.BitRate
 		if invRate > 1/float64(minRate)+1e-12 {
 			return
 		}
-		tx, rx := mixture(links, p)
+		tx, rx := mixture(row, p)
 		bits := bitsFor(tx, rx, e1, e2)
 		if bits > best.Bits {
 			copy(best.P, p)

@@ -250,12 +250,16 @@ type memberScratch struct {
 // runScratch is the per-Run working set recycled through a sync.Pool so
 // that repeated runs — a fleet shard simulating thousands of hub
 // rounds — stop churning braids, schedule buffers, and result slots.
-// batch is the round's shared column arena: one reset per round feeds
-// the batched characterization instead of M per-member cache lookups.
+// dists, idx and links are the round's batched characterization: the
+// eligible members' distances, their member indices, and the canonical
+// link slices one striped pass fills, instead of M per-member cache
+// lookups.
 type runScratch struct {
 	members []memberScratch
 	strikes []int
-	batch   core.BatchScratch
+	dists   []units.Meter
+	idx     []int
+	links   [][]phy.ModeLink
 }
 
 // scratchPool recycles runScratch values across Run calls.
@@ -269,9 +273,13 @@ func acquireScratch(n int) *runScratch {
 	if cap(s.members) < n {
 		s.members = make([]memberScratch, n)
 		s.strikes = make([]int, n)
+		s.dists = make([]units.Meter, n)
+		s.idx = make([]int, n)
+		s.links = make([][]phy.ModeLink, n)
 	}
 	s.members = s.members[:n]
 	s.strikes = s.strikes[:n]
+	s.dists, s.idx, s.links = s.dists[:n], s.idx[:n], s.links[:n]
 	for i := range s.members {
 		ms := &s.members[i]
 		ms.scr.Reset()
@@ -350,9 +358,7 @@ func (h *Hub) Run(horizon units.Second, rounds int) (*Result, error) {
 		// Phase 0: advance each member's walk and fault state
 		// sequentially (each injector is advanced exactly once per
 		// round, same as the old in-plan advancement), decide round
-		// eligibility, and collect the eligible distances into the
-		// round arena.
-		scr.batch.Reset(len(h.members))
+		// eligibility, and collect the eligible distances.
 		nb := 0
 		for i := range h.members {
 			ms := &scr.members[i]
@@ -384,17 +390,17 @@ func (h *Hub) Run(horizon units.Second, rounds int) (*Result, error) {
 			}
 			ms.dist = d
 			ms.active = true
-			scr.batch.Dists[nb] = d
-			scr.batch.Idx[nb] = i
+			scr.dists[nb] = d
+			scr.idx[nb] = i
 			nb++
 		}
 		// Batched link characterization: one striped pass fills every
 		// eligible member's canonical link slice (the same shared
 		// slices linkcache.Characterize returns, so the braids'
 		// allocation memos keep their slice-identity semantics).
-		h.view.CharacterizeBatch(h.Workers, scr.batch.Dists[:nb], scr.batch.Links[:nb])
+		h.view.CharacterizeBatch(h.Workers, scr.dists[:nb], scr.links[:nb])
 		for r := 0; r < nb; r++ {
-			scr.members[scr.batch.Idx[r]].braid.Links = scr.batch.Links[r]
+			scr.members[scr.idx[r]].braid.Links = scr.links[r]
 		}
 
 		// Phase 1: plan all members against the immutable snapshot.

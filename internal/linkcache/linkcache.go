@@ -312,12 +312,11 @@ func (v *View) CharacterizeBatch(workers int, dists []units.Meter, out [][]phy.M
 	}
 }
 
-// CharacterizeColumns fills member k's row of cols for every k with the
-// structure-of-arrays characterization at dists[k] — the flat-column
-// twin of CharacterizeBatch for kernels that never need []ModeLink
-// slices. Column rows are computed directly (they carry the SNR column,
-// which the AoS cache does not); values are bit-identical to
-// Characterize's because both run the same per-mode computations.
+// CharacterizeColumns fills row k of cols with the structure-of-arrays
+// characterization at dists[k], for kernels that never need []ModeLink
+// slices. Rows bypass the cache, so many distinct distances neither
+// churn it nor take its locks; values are bit-identical to
+// Characterize's because both run phy's one per-mode loop.
 func (v *View) CharacterizeColumns(workers int, dists []units.Meter, cols *phy.LinkColumns) {
 	cols.Reset(len(dists))
 	fill := func(i int) { v.model.CharacterizeColumns(cols, i, dists[i]) }

@@ -301,7 +301,12 @@ type Network struct {
 	hubs    []hubState
 	slots   []slot
 	strikes []int
-	batch   core.BatchScratch
+	// dists, idx and links are phase 0's batched characterization of
+	// the canonical (interference-free) slots: their distances, their
+	// slot indices, and the shared link slices the view fills.
+	dists []units.Meter
+	idx   []int
+	links [][]phy.ModeLink
 	// hubDist[a][b] is the clamped hub-to-hub trunk distance; intMW[a][b]
 	// is the co-channel carrier power (linear mW, fade-derated) hub a's
 	// emission lands at hub b's receiver — precomputed once, geometry is
@@ -381,6 +386,9 @@ func New(t *Topology, cfg Config) (*Network, error) {
 		n.hubs[h].slotHi = lo
 	}
 	n.strikes = make([]int, len(n.slots))
+	n.dists = make([]units.Meter, len(n.slots))
+	n.idx = make([]int, len(n.slots))
+	n.links = make([][]phy.ModeLink, len(n.slots))
 	return n, nil
 }
 

@@ -178,7 +178,6 @@ func (n *Network) phase0(res *Result, hubBatts, memberBatts []*energy.Battery) {
 		n.hubs[s.hub].emitting = true
 	}
 	// Pass B: donors, interference, and the canonical/private split.
-	n.batch.Reset(len(n.slots))
 	nb := 0
 	for i := range n.slots {
 		s := &n.slots[i]
@@ -191,14 +190,14 @@ func (n *Network) phase0(res *Result, hubBatts, memberBatts []*energy.Battery) {
 		}
 		s.private = s.mw > 0 || s.sharedOK
 		if !s.private {
-			n.batch.Dists[nb] = s.homeDist
-			n.batch.Idx[nb] = i
+			n.dists[nb] = s.homeDist
+			n.idx[nb] = i
 			nb++
 		}
 	}
-	n.view.CharacterizeBatch(n.cfg.Workers, n.batch.Dists[:nb], n.batch.Links[:nb])
+	n.view.CharacterizeBatch(n.cfg.Workers, n.dists[:nb], n.links[:nb])
 	for r := 0; r < nb; r++ {
-		n.slots[n.batch.Idx[r]].links = n.batch.Links[r]
+		n.slots[n.idx[r]].links = n.links[r]
 	}
 	for i := range n.slots {
 		s := &n.slots[i]
@@ -277,7 +276,7 @@ func (n *Network) planSlot(i int, memberBatts []*energy.Battery, slice units.Sec
 	e1, e2 := memberBatts[i].Remaining(), hs.snap.Remaining()
 	if appraise {
 		if len(s.links) > 0 {
-			if err := core.OptimizeInto(&s.alloc, nil, s.links, e1, e2); err == nil {
+			if err := core.OptimizeInto(&s.alloc, s.links, e1, e2); err == nil {
 				s.directTX = float64(s.alloc.TX)
 				s.directBits = math.Min(load, s.alloc.Bits)
 			}
@@ -350,7 +349,7 @@ func (n *Network) appraiseRelay(i int, e1 units.Joule, load float64) {
 		if len(links1) == 0 {
 			continue
 		}
-		if err := core.OptimizeInto(&s.alloc, nil, links1, e1, eVia); err != nil {
+		if err := core.OptimizeInto(&s.alloc, links1, e1, eVia); err != nil {
 			continue
 		}
 		if !(float64(s.alloc.TX) < bestTX) {
@@ -360,7 +359,7 @@ func (n *Network) appraiseRelay(i int, e1 units.Joule, load float64) {
 		if len(links2) == 0 {
 			continue
 		}
-		if err := core.OptimizeInto(&s.alloc2, nil, links2, eVia, eHome); err != nil {
+		if err := core.OptimizeInto(&s.alloc2, links2, eVia, eHome); err != nil {
 			continue
 		}
 		rp := relayPlan{

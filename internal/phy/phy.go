@@ -327,61 +327,40 @@ func (m *Model) costs(mode Mode, r units.BitRate, ber float64) (tx, rx units.Jou
 // rates and per-bit costs, in canonical mode order. Unavailable modes are
 // omitted.
 func (m *Model) Characterize(d units.Meter) []ModeLink {
-	var out []ModeLink
-	for _, mode := range Modes {
-		r, ok := m.BestRate(mode, d)
-		if !ok {
-			continue
-		}
-		ber := m.BER(mode, r, d)
-		t, rx := m.costs(mode, r, ber)
-		out = append(out, ModeLink{Mode: mode, Rate: r, BER: ber, Good: m.goodput(mode, r, ber), T: t, R: rx})
-	}
-	return out
+	return m.CharacterizeInto(nil, d)
 }
 
 // CharacterizeInto is Characterize appending into caller-owned storage:
 // dst is truncated and refilled, so a caller reusing one buffer across
 // distances characterizes without heap allocation once the buffer has
-// grown to NumModes capacity. The entries are bit-identical to
-// Characterize's (both run the same per-mode computations in canonical
-// order).
+// grown to NumModes capacity. This is the one per-mode characterization
+// loop; Characterize and CharacterizeColumns both run it.
 func (m *Model) CharacterizeInto(dst []ModeLink, d units.Meter) []ModeLink {
 	dst = dst[:0]
 	for _, mode := range Modes {
-		r, ok := m.BestRate(mode, d)
-		if !ok {
-			continue
+		if r, ok := m.BestRate(mode, d); ok {
+			dst = append(dst, m.LinkAt(mode, r, d))
 		}
-		ber := m.BER(mode, r, d)
-		t, rx := m.costs(mode, r, ber)
-		dst = append(dst, ModeLink{Mode: mode, Rate: r, BER: ber, Good: m.goodput(mode, r, ber), T: t, R: rx})
 	}
 	return dst
 }
 
 // LinkColumns is the structure-of-arrays projection of a batch of link
-// characterizations: one row of NumModes-stride columns per member, flat
-// float64 (and small scalar) arrays instead of per-member []ModeLink
-// slices. Batch kernels iterate columns linearly — no per-member pointer
-// chasing, no per-member allocation — while Len records how many of the
-// row's leading slots are live (modes are in canonical order, unavailable
-// modes omitted exactly as Characterize omits them).
+// characterizations: one row of NumModes-stride columns per member
+// holding exactly what the Eq. (1) kernels read — each slot's mode and
+// its (T_i, R_i) — instead of per-member []ModeLink slices. Batch
+// kernels iterate columns linearly, with no per-member pointer chasing
+// or allocation, while Len records how many of the row's leading slots
+// are live (modes are in canonical order, unavailable modes omitted
+// exactly as Characterize omits them).
 type LinkColumns struct {
 	// N is the number of members the columns currently describe.
 	N int
 	// Len[k] is the number of available modes for member k; member k's
 	// values live at [k*NumModes, k*NumModes+Len[k]).
 	Len []int32
-	// Mode and Rate identify each link slot.
+	// Mode identifies each link slot.
 	Mode []Mode
-	Rate []units.BitRate
-	// SNR and BER are the link-quality columns (SNR in dB at the slot's
-	// operating rate).
-	SNR []units.DB
-	BER []float64
-	// Good is the delivered payload bitrate column.
-	Good []units.BitRate
 	// T and R are the per-useful-bit energy columns — the (T_i, R_i) of
 	// Eq. 1 — at the transmitter and receiver.
 	T, R []units.JoulesPerBit
@@ -396,69 +375,27 @@ func (c *LinkColumns) Reset(n int) {
 	if cap(c.Len) < n {
 		c.Len = make([]int32, n)
 		c.Mode = make([]Mode, flat)
-		c.Rate = make([]units.BitRate, flat)
-		c.SNR = make([]units.DB, flat)
-		c.BER = make([]float64, flat)
-		c.Good = make([]units.BitRate, flat)
 		c.T = make([]units.JoulesPerBit, flat)
 		c.R = make([]units.JoulesPerBit, flat)
 	}
 	c.Len = c.Len[:n]
 	c.Mode = c.Mode[:flat]
-	c.Rate = c.Rate[:flat]
-	c.SNR = c.SNR[:flat]
-	c.BER = c.BER[:flat]
-	c.Good = c.Good[:flat]
 	c.T = c.T[:flat]
 	c.R = c.R[:flat]
 }
 
-// Row copies member k's live slots into dst (len ≥ NumModes) as
-// ModeLinks and returns the filled prefix — the bridge back from
-// columnar storage to the slice-shaped APIs.
-func (c *LinkColumns) Row(k int, dst []ModeLink) []ModeLink {
-	base := k * NumModes
-	n := int(c.Len[k])
-	dst = dst[:n]
-	for i := 0; i < n; i++ {
-		dst[i] = ModeLink{
-			Mode: c.Mode[base+i],
-			Rate: c.Rate[base+i],
-			BER:  c.BER[base+i],
-			Good: c.Good[base+i],
-			T:    c.T[base+i],
-			R:    c.R[base+i],
-		}
-	}
-	return dst
-}
-
 // CharacterizeColumns fills member k's row of cols from this model at
-// distance d: the same per-mode computations as Characterize, plus the
-// SNR column, written straight into the flat arrays. Each call touches
-// only row k, so a batch characterization can stripe calls across a
-// worker pool with index-owned writes.
+// distance d: CharacterizeInto's links, projected onto the columns.
+// Each call touches only row k, so a batch characterization can stripe
+// calls across a worker pool with index-owned writes.
 func (m *Model) CharacterizeColumns(cols *LinkColumns, k int, d units.Meter) {
+	var buf [NumModes]ModeLink
 	base := k * NumModes
-	n := 0
-	for _, mode := range Modes {
-		r, ok := m.BestRate(mode, d)
-		if !ok {
-			continue
-		}
-		ber := m.BER(mode, r, d)
-		t, rx := m.costs(mode, r, ber)
-		i := base + n
-		cols.Mode[i] = mode
-		cols.Rate[i] = r
-		cols.SNR[i] = m.SNR(mode, r, d)
-		cols.BER[i] = ber
-		cols.Good[i] = m.goodput(mode, r, ber)
-		cols.T[i] = t
-		cols.R[i] = rx
-		n++
+	row := m.CharacterizeInto(buf[:0], d)
+	for i, l := range row {
+		cols.Mode[base+i], cols.T[base+i], cols.R[base+i] = l.Mode, l.T, l.R
 	}
-	cols.Len[k] = int32(n)
+	cols.Len[k] = int32(len(row))
 }
 
 // SharedCarrierLink characterizes the backscatter mode when the carrier
