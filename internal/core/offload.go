@@ -110,7 +110,8 @@ func validateRow(row costRow, e1, e2 units.Joule) error {
 	if len(row.t) == 0 {
 		return ErrNoLinks
 	}
-	if e1 <= 0 || e2 <= 0 {
+	// Negated so a NaN budget is rejected too.
+	if !(e1 > 0) || !(e2 > 0) {
 		return fmt.Errorf("core: non-positive budgets %v/%v", float64(e1), float64(e2))
 	}
 	for i, t := range row.t {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -202,6 +203,33 @@ func TestValidation(t *testing.T) {
 	dead := []phy.ModeLink{{Mode: phy.ModeActive, T: units.JoulesPerBit(math.Inf(1)), R: 1}}
 	if _, err := Optimize(dead, 1, 1); err == nil {
 		t.Error("infinite-cost link should error")
+	}
+}
+
+// TestNaNBudgetRejected: a NaN budget on either side fails every solver
+// entry point with the non-positive-budget error instead of panicking
+// (Optimize indexed slot -1) or returning a bogus allocation
+// (BestSingleMode answered Bits=-1 with no error).
+func TestNaNBudgetRejected(t *testing.T) {
+	links := linksAt(t, 0.3)
+	nan := units.Joule(math.NaN())
+	solvers := map[string]func(e1, e2 units.Joule) error{
+		"Optimize": func(e1, e2 units.Joule) error { _, err := Optimize(links, e1, e2); return err },
+		"OptimizeInto": func(e1, e2 units.Joule) error {
+			var a Allocation
+			return OptimizeInto(&a, links, e1, e2)
+		},
+		"SolveEq1":       func(e1, e2 units.Joule) error { _, err := SolveEq1(links, e1, e2); return err },
+		"BestSingleMode": func(e1, e2 units.Joule) error { _, err := BestSingleMode(links, e1, e2); return err },
+		"OptimizeQoS":    func(e1, e2 units.Joule) error { _, err := OptimizeQoS(links, e1, e2, 1000); return err },
+	}
+	for name, solve := range solvers {
+		for _, b := range [][2]units.Joule{{nan, 1}, {1, nan}, {nan, nan}} {
+			err := solve(b[0], b[1])
+			if err == nil || !strings.Contains(err.Error(), "non-positive budgets") {
+				t.Errorf("%s(%v, %v): err = %v, want the non-positive-budget error", name, float64(b[0]), float64(b[1]), err)
+			}
+		}
 	}
 }
 

@@ -8,11 +8,12 @@ import (
 	"braidio/internal/obs"
 )
 
-// TestHubRunSteadyStateAllocs gates the pooled-scratch claim: once a
-// run's fixed setup (Result, batteries, pooled scratch warm-up) is paid,
-// additional rounds must be allocation-free. Before the scratch pool,
-// every member-round built a fresh core.Braid, schedule buffers, and a
-// ModeBits map (~11 allocs per member-round); the gate pins the
+// TestHubRunSteadyStateAllocs gates the reused-scratch claim: once a
+// run's fixed setup (the hub's network, its Result, the scratch
+// warm-up) is paid, additional rounds must be allocation-free. Before
+// per-member scratch was reused, every member-round built a fresh
+// core.Braid, schedule buffers, and a ModeBits map (~11 allocs per
+// member-round); the gate pins the
 // steady-state at effectively zero. Excluded under -race (the detector
 // instruments allocations) and run at Workers=1 (par.For spawns
 // goroutines, which allocate, at higher counts — worker goroutine cost
@@ -34,7 +35,7 @@ func TestHubRunSteadyStateAllocs(t *testing.T) {
 	perRound := (long - short) / extra
 	t.Logf("fixed setup ≈ %.0f allocs; steady-state ≈ %.3f allocs/round (%d members)", short, perRound, 3)
 	if perRound > 0.5 {
-		t.Errorf("steady-state allocations: %.2f allocs/round, want ~0 (pooled scratch regressed)", perRound)
+		t.Errorf("steady-state allocations: %.2f allocs/round, want ~0 (scratch reuse regressed)", perRound)
 	}
 }
 

@@ -3,9 +3,9 @@
 // population-level questions need — "across a building of N phones each
 // serving M wearables, what fraction of hubs survive the day?" — and
 // the unit the engine's performance work targets: shards are
-// embarrassingly parallel, each shard reuses one pooled scratch for its
-// whole run, and the sharded link cache keeps concurrent planners from
-// serializing on one lock.
+// embarrassingly parallel, each shard's hub runs one network it built
+// for its roster, and the sharded link cache keeps concurrent planners
+// from serializing on one lock.
 //
 // Determinism: shard i draws every randomized parameter from
 // rng.Substreams(Seed, Shards)[i], whose layout depends only on (Seed,

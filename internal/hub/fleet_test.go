@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 
+	"braidio/internal/energy"
+	"braidio/internal/net"
 	"braidio/internal/rng"
 	"braidio/internal/sim"
 	"braidio/internal/units"
@@ -113,6 +115,71 @@ func TestFleetShardErrorIsolated(t *testing.T) {
 	}
 	if healthy != 3 {
 		t.Errorf("%d healthy shards survived, want 3", healthy)
+	}
+}
+
+// TestFleetResultAggregates: the fleet totals are the sums over the
+// shards that ran — one hub that dies, one member quarantined, and one
+// shard whose run fails (a hub battery of zero capacity) and so leaves a
+// nil slot the totals skip.
+func TestFleetResultAggregates(t *testing.T) {
+	inner := testBuilder(t, 2)
+	f := &Fleet{
+		Shards: 4, Workers: 2, Seed: 3,
+		Build: func(shard int, stream *rng.Stream) (*Hub, error) {
+			var h *Hub
+			switch shard {
+			case 1:
+				h = New(energy.Device{Name: "dying-hub", Capacity: 0.00002, Class: "custom"}, nil)
+				if err := h.Add(Member{Device: dev(t, "Apple Watch"), Distance: 0.4, Load: 500000}); err != nil {
+					return nil, err
+				}
+				return h, nil
+			case 2:
+				h = New(energy.Device{Name: "no-battery", Class: "custom"}, nil)
+				if err := h.Add(Member{Device: dev(t, "Apple Watch"), Distance: 0.4, Load: 1000}); err != nil {
+					return nil, err
+				}
+				return h, nil
+			case 3:
+				h, err := inner(shard, stream)
+				if err != nil {
+					return nil, err
+				}
+				err = h.Add(Member{
+					Device: dev(t, "Apple Watch"), Distance: 0.5, Load: 1000,
+					Walk: sim.LinearWalk{Start: 0.5, End: 2000, Duration: 600},
+				})
+				return h, err
+			}
+			return inner(shard, stream)
+		},
+	}
+	res, err := f.Run(3600, 12)
+	if !errors.Is(err, net.ErrBadDevice) {
+		t.Fatalf("joined error %v does not wrap the zero-capacity shard's failure", err)
+	}
+	if res.Shards[2] != nil {
+		t.Fatal("failed shard left a non-nil result")
+	}
+	var drain units.Joule
+	exhausted, quarantines := 0, 0
+	for _, r := range res.Shards {
+		if r == nil {
+			continue
+		}
+		drain += r.HubDrain
+		quarantines += r.Quarantines
+		if r.HubExhausted {
+			exhausted++
+		}
+	}
+	if res.HubDrain() != drain || res.Exhausted() != exhausted || res.Quarantines() != quarantines {
+		t.Errorf("aggregates (%v J, %d exhausted, %d quarantined), shard sums (%v J, %d, %d)",
+			float64(res.HubDrain()), res.Exhausted(), res.Quarantines(), float64(drain), exhausted, quarantines)
+	}
+	if exhausted != 1 || quarantines != 1 {
+		t.Errorf("%d hubs died and %d members were quarantined, want 1 and 1", exhausted, quarantines)
 	}
 }
 

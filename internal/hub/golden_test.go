@@ -83,3 +83,30 @@ func TestGoldenMixedHubDigest(t *testing.T) {
 		}
 	}
 }
+
+// goldenFleet pins the digest over every shard Result of runFleetAt's
+// fleet (6 shards of 4 members, half of them walking). Pinned on
+// linux/amd64 before hub.Run became a one-hub net run.
+const goldenFleet = 0x5d002e0ea47a46d0
+
+// TestGoldenFleetDigest runs the fleet at several worker counts and
+// compares the shard-ordered digest of its Results with the pin.
+func TestGoldenFleetDigest(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		res := runFleetAt(t, workers)
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, r := range res.Shards {
+			d := resultDigest(r)
+			for i := range buf {
+				buf[i] = byte(d >> (8 * i))
+			}
+			h.Write(buf[:])
+		}
+		got := h.Sum64()
+		t.Logf("workers=%d: digest %#x", workers, got)
+		if got != goldenFleet {
+			t.Errorf("workers=%d: digest %#x, pinned %#x", workers, got, uint64(goldenFleet))
+		}
+	}
+}

@@ -6,52 +6,35 @@
 // The paper evaluates pairs; the introduction's motivation — "a
 // significant fraction of the energy cost of communication [can] be
 // offloaded to the device that has more energy i.e. the mobile phone" —
-// is inherently multi-device. The hub schedules its members round-robin
-// (one radio, one link at a time), re-solving each member's offload
-// allocation against the hub's *remaining* budget so that early traffic
-// from one wearable is reflected in the braiding chosen for the others.
+// is inherently multi-device. The hub serves its members in rounds,
+// re-solving each member's offload allocation against the hub's
+// *remaining* budget so that early traffic from one wearable is
+// reflected in the braiding chosen for the others.
 //
 // Members are fault-isolated: a member whose link dies (it walked out of
 // range, its carrier dropped, its QoS floor became infeasible) is
 // quarantined after a bounded number of consecutive failed rounds —
 // its MemberResult carries a typed error wrapping ErrMemberQuarantined
-// and the cause — while the round-robin keeps serving healthy members.
-// Pre-quarantine, one degraded member could sink the whole run.
+// and the cause — while the others keep being served.
 //
-// # Two-phase rounds
-//
-// Run is a deterministic parallel engine. Each round is two phases:
-//
-//  1. Plan: every eligible member solves and executes its braid against
-//     an immutable snapshot of the hub's round-start energy and a copy
-//     of its own battery, concurrently over the shared worker pool
-//     (internal/par). Plans write only per-member scratch.
-//  2. Commit: in registration order, each plan's drains are applied to
-//     the real batteries, strikes/quarantines are charged, and totals
-//     are accumulated. If earlier commits drained the hub below what a
-//     later plan assumed, that member is re-solved against the true
-//     remaining energies (counted in Result.Replans).
-//
-// Because plans touch only state owned by their member index and the
-// commit order is fixed, the Result is bit-identical at any Workers
-// count — the same discipline as modem.MonteCarloBERParallel. The one
-// obligation on callers: a Member's Walk and Faults state must be
-// private to that member (they are advanced once per round from
-// whatever goroutine plans the member; sharing one stateful injector
-// across members would race).
+// A star is a one-hub internal/net network with interference, carrier
+// sharing and relays disabled, and Run is that network's Run: the
+// rounds, their two-phase determinism contract (bit-identical Results
+// at any Workers count) and the member behaviours (Walk, Faults,
+// MinRate) are net's, documented there. Fleet runs many independent
+// stars over one worker pool.
 package hub
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
-	"braidio/internal/core"
 	"braidio/internal/energy"
 	"braidio/internal/faults"
+	"braidio/internal/field"
 	"braidio/internal/linkcache"
+	"braidio/internal/net"
 	"braidio/internal/obs"
-	"braidio/internal/par"
 	"braidio/internal/phy"
 	"braidio/internal/sim"
 	"braidio/internal/units"
@@ -84,7 +67,8 @@ type Member struct {
 }
 
 // Hub is a star network under construction. Create with New, add
-// members, then Run.
+// members, then Run. A Hub is not safe for concurrent Runs: it keeps
+// the network it runs between calls.
 type Hub struct {
 	// QuarantineStrikes is how many consecutive failed rounds (link
 	// error, outage, infeasible QoS floor) a member survives before it
@@ -114,6 +98,10 @@ type Hub struct {
 	model   *phy.Model
 	view    *linkcache.View
 	members []Member
+	// net is the one-hub network Run executes, built for the current
+	// roster and cfg; Add drops it, and a changed cfg rebuilds it.
+	net *net.Network
+	cfg net.Config
 }
 
 // defaultQuarantineStrikes is the strike budget when the caller leaves
@@ -139,6 +127,7 @@ func (h *Hub) Add(m Member) error {
 		return fmt.Errorf("hub: member %s at %v m is out of range", m.Device.Name, float64(m.Distance))
 	}
 	h.members = append(h.members, m)
+	h.net = nil
 	return nil
 }
 
@@ -219,83 +208,11 @@ func (r *Result) TotalBits() float64 {
 // ErrNoMembers reports an empty hub.
 var ErrNoMembers = errors.New("hub: no members")
 
-// strikeLimit returns the configured quarantine strike budget.
-func (h *Hub) strikeLimit() int {
-	if h.QuarantineStrikes > 0 {
-		return h.QuarantineStrikes
-	}
-	return defaultQuarantineStrikes
-}
-
-// memberScratch is one member's slot in the pooled run scratch: its
-// persistent braid (re-pointed at the round's distance and bit budget),
-// the braid's allocation scratch and reusable result, the plan-phase
-// battery copies, and the plan verdict the commit phase consumes.
-type memberScratch struct {
-	braid  core.Braid
-	scr    core.RunScratch
-	plan   core.Result
-	planB1 energy.Battery // copy of the member battery
-	planB2 energy.Battery // copy of the hub's round-start snapshot
-
-	err              error
-	outage           bool
-	skipQuarantined  bool
-	skipStarved      bool
-	active           bool
-	dist             units.Meter
-	txScale, rxScale float64
-}
-
-// runScratch is the per-Run working set recycled through a sync.Pool so
-// that repeated runs — a fleet shard simulating thousands of hub
-// rounds — stop churning braids, schedule buffers, and result slots.
-// dists, idx and links are the round's batched characterization: the
-// eligible members' distances, their member indices, and the canonical
-// link slices one striped pass fills, instead of M per-member cache
-// lookups.
-type runScratch struct {
-	members []memberScratch
-	strikes []int
-	dists   []units.Meter
-	idx     []int
-	links   [][]phy.ModeLink
-}
-
-// scratchPool recycles runScratch values across Run calls.
-var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
-
-// acquireScratch returns a scratch sized for n members with every slot
-// reset: stale allocation memos are invalidated so a run's results can
-// never depend on what a recycled scratch last solved.
-func acquireScratch(n int) *runScratch {
-	s := scratchPool.Get().(*runScratch)
-	if cap(s.members) < n {
-		s.members = make([]memberScratch, n)
-		s.strikes = make([]int, n)
-		s.dists = make([]units.Meter, n)
-		s.idx = make([]int, n)
-		s.links = make([][]phy.ModeLink, n)
-	}
-	s.members = s.members[:n]
-	s.strikes = s.strikes[:n]
-	s.dists, s.idx, s.links = s.dists[:n], s.idx[:n], s.links[:n]
-	for i := range s.members {
-		ms := &s.members[i]
-		ms.scr.Reset()
-		ms.err = nil
-		s.strikes[i] = 0
-	}
-	return s
-}
-
 // Run simulates the star for a wall-clock horizon, delivering each
-// member's offered load in rounds. Each round plans every member's
-// braid concurrently against the hub's round-start energy snapshot,
-// then commits the drains in registration order (see the package
-// comment for the two-phase determinism contract). Run stops early —
-// mid-round, after the fatal commit — if the hub dies, recording the
-// round in Result.HubDiedRound.
+// member's offered load in rounds: a net.Network.Run over the one-hub
+// topology with every coupling disabled, mapped back onto a Result. Run
+// stops early — mid-round, after the fatal commit — if the hub dies,
+// recording the round in Result.HubDiedRound.
 //
 // Member failures do not abort the run: a round that errors (the member
 // walked out of range, its QoS floor is infeasible, its carrier dropped)
@@ -309,240 +226,99 @@ func (h *Hub) Run(horizon units.Second, rounds int) (*Result, error) {
 	if horizon <= 0 || rounds < 1 {
 		return nil, fmt.Errorf("hub: invalid horizon %v / rounds %d", float64(horizon), rounds)
 	}
-	hubBatt := h.device.NewBattery()
-	memberBatts := make([]*energy.Battery, len(h.members))
-	for i, m := range h.members {
-		memberBatts[i] = m.Device.NewBattery()
+	cfg := net.Config{
+		Model:               h.model,
+		Workers:             h.Workers,
+		QuarantineStrikes:   h.QuarantineStrikes,
+		AllocationTolerance: h.AllocationTolerance,
+		DisableInterference: true,
+		DisableCarrierShare: true,
+		DisableRelay:        true,
+		Obs:                 h.Obs,
 	}
+	if h.net == nil || cfg != h.cfg {
+		n, err := net.New(h.topology(), cfg)
+		if err != nil {
+			return nil, fmt.Errorf("hub: %w", err)
+		}
+		h.net, h.cfg = n, cfg
+	}
+	nr, err := h.net.Run(horizon, rounds)
+	if err != nil {
+		return nil, fmt.Errorf("hub: %w", err)
+	}
+	hr := &nr.Hubs[0]
 	res := &Result{
 		Horizon:      horizon,
+		HubDrain:     hr.Drain,
+		HubExhausted: hr.Exhausted,
 		Members:      make([]MemberResult, len(h.members)),
-		HubDiedRound: -1,
+		Quarantines:  nr.Quarantines,
+		LPSolves:     hr.LPSolves,
+		AllocReuses:  hr.AllocReuses,
+		HubDiedRound: hr.DiedRound,
+		Replans:      hr.Replans,
 	}
 	for i, m := range h.members {
-		res.Members[i] = MemberResult{Member: m}
+		mr := &hr.Members[i]
+		res.Members[i] = MemberResult{
+			Member:           m,
+			Bits:             mr.Bits,
+			MemberDrain:      mr.MemberDrain,
+			HubDrain:         mr.HubDrain,
+			ModeBits:         mr.ModeBits,
+			Starved:          mr.Starved,
+			Quarantined:      mr.Quarantined,
+			QuarantinedRound: mr.QuarantinedRound,
+			Err:              h.quarantineErr(mr.Err, m.Device.Name),
+			OutageRounds:     mr.OutageRounds,
+		}
+		res.OutageRounds += mr.OutageRounds
 	}
-	scr := acquireScratch(len(h.members))
-	defer scratchPool.Put(scr)
-	rec := obs.Active(h.Obs)
-	for i, m := range h.members {
-		ms := &scr.members[i]
-		ms.braid = core.DefaultBraid(h.model, m.Distance)
-		ms.braid.Obs = h.Obs
-		ms.braid.AllocationTolerance = h.AllocationTolerance
-		if m.MinRate > 0 {
-			minRate := m.MinRate
-			ms.braid.Optimizer = func(links []phy.ModeLink, e1, e2 units.Joule) (*core.Allocation, error) {
-				return core.OptimizeQoS(links, e1, e2, minRate)
-			}
-		}
-	}
-
-	slice := horizon / units.Second(rounds)
-	// The plan closure reads the round state through these variables so
-	// par.For gets one closure for the whole run, not one per round.
-	var (
-		now     units.Second
-		hubSnap energy.Battery
-	)
-	plan := func(i int) { h.planMember(i, scr, memberBatts, &hubSnap, slice) }
-
-	for round := 0; round < rounds && !hubBatt.Empty(); round++ {
-		now = units.Second(round) * slice
-		hubSnap = *hubBatt
-		if rec != nil {
-			rec.HubRounds.Add(1)
-			rec.BatchRounds.Add(1)
-		}
-
-		// Phase 0: advance each member's walk and fault state
-		// sequentially (each injector is advanced exactly once per
-		// round, same as the old in-plan advancement), decide round
-		// eligibility, and collect the eligible distances.
-		nb := 0
-		for i := range h.members {
-			ms := &scr.members[i]
-			mr := &res.Members[i]
-			m := &h.members[i]
-			ms.err = nil
-			ms.outage = false
-			ms.active = false
-			ms.braid.Links = nil
-			ms.skipQuarantined = mr.Quarantined
-			ms.skipStarved = !mr.Quarantined && memberBatts[i].Empty()
-			ms.txScale, ms.rxScale = 1, 1
-			if ms.skipQuarantined || ms.skipStarved {
-				continue
-			}
-			d := m.Distance
-			if m.Walk != nil {
-				d = m.Walk.DistanceAt(now)
-			}
-			if m.Faults != nil {
-				var env faults.Env
-				env.Reset(now, phy.ModeActive, units.Rate1M, 0)
-				m.Faults.Impair(&env)
-				if env.CarrierLost {
-					ms.outage = true
-					continue
-				}
-				ms.txScale, ms.rxScale = env.TXDrain, env.RXDrain
-			}
-			ms.dist = d
-			ms.active = true
-			scr.dists[nb] = d
-			scr.idx[nb] = i
-			nb++
-		}
-		// Batched link characterization: one striped pass fills every
-		// eligible member's canonical link slice (the same shared
-		// slices linkcache.Characterize returns, so the braids'
-		// allocation memos keep their slice-identity semantics).
-		h.view.CharacterizeBatch(h.Workers, scr.dists[:nb], scr.links[:nb])
-		for r := 0; r < nb; r++ {
-			scr.members[scr.idx[r]].braid.Links = scr.links[r]
-		}
-
-		// Phase 1: plan all members against the immutable snapshot.
-		par.For(h.Workers, len(h.members), plan)
-
-		// Phase 2: commit in registration order.
-		for i := range h.members {
-			ms := &scr.members[i]
-			mr := &res.Members[i]
-			m := &h.members[i]
-			if ms.skipQuarantined {
-				continue
-			}
-			if ms.skipStarved {
-				mr.Starved = true
-				continue
-			}
-			if ms.outage {
-				mr.OutageRounds++
-				res.OutageRounds++
-				if rec != nil {
-					rec.OutageRounds.Add(1)
-					rec.Trace(obs.Event{Kind: obs.EvOutage, Round: round, Member: i, Time: float64(now)})
-				}
-				h.strikeMember(mr, &scr.strikes[i], round, i, rec, now,
-					fmt.Errorf("hub: member %s: carrier lost at t=%vs", m.Device.Name, float64(now)), res)
-				continue
-			}
-			if ms.err == nil {
-				run := &ms.plan
-				hubNeed := run.Drain2
-				if ms.rxScale > 1 {
-					hubNeed += run.Drain2 * units.Joule(ms.rxScale-1)
-				}
-				if hubBatt.Remaining() < hubNeed {
-					// Earlier commits this round drained the hub below
-					// what the snapshot promised: re-solve against the
-					// true remaining energies. RunInto drains the real
-					// batteries directly in this path.
-					res.Replans++
-					if rec != nil {
-						rec.Replans.Add(1)
-						rec.Trace(obs.Event{Kind: obs.EvReplan, Round: round, Member: i, Time: float64(now)})
-					}
-					ms.err = ms.braid.RunInto(&ms.plan, &ms.scr, memberBatts[i], hubBatt)
-				} else {
-					memberBatts[i].Drain(run.Drain1)
-					hubBatt.Drain(run.Drain2)
-				}
-			}
-			if ms.err != nil {
-				h.strikeMember(mr, &scr.strikes[i], round, i, rec, now,
-					fmt.Errorf("hub: member %s: %w", m.Device.Name, ms.err), res)
-				continue
-			}
-			run := &ms.plan
-			scr.strikes[i] = 0
-			if rec != nil {
-				rec.MemberRounds.Add(1)
-			}
-			mr.Bits += run.Bits
-			res.LPSolves += run.LPSolves
-			res.AllocReuses += run.AllocReuses
-			mr.MemberDrain += run.Drain1
-			mr.HubDrain += run.Drain2
-			res.HubDrain += run.Drain2
-			if ms.txScale > 1 {
-				extra := run.Drain1 * units.Joule(ms.txScale-1)
-				memberBatts[i].Drain(extra)
-				mr.MemberDrain += extra
-			}
-			if ms.rxScale > 1 {
-				extra := run.Drain2 * units.Joule(ms.rxScale-1)
-				hubBatt.Drain(extra)
-				mr.HubDrain += extra
-				res.HubDrain += extra
-			}
-			for mode, b := range run.ModeBits {
-				mr.ModeBits[mode] += b
-			}
-			bits := float64(m.Load) * float64(slice)
-			if run.Bits < bits*0.999 && memberBatts[i].Empty() {
-				mr.Starved = true
-			}
-			// Hub-death accounting: checked after *every* commit, not
-			// only on under-delivery — a dead hub must not keep serving
-			// the rest of the round.
-			if hubBatt.Empty() {
-				if res.HubDiedRound < 0 {
-					res.HubDiedRound = round
-					if rec != nil {
-						rec.HubDeaths.Add(1)
-						rec.Trace(obs.Event{Kind: obs.EvHubDeath, Round: round, Member: -1, Time: float64(now)})
-					}
-				}
-				break
-			}
-		}
-	}
-	res.HubExhausted = hubBatt.Empty()
 	return res, nil
 }
 
-// planMember runs one member's plan phase: solve and execute its braid
-// — links preset by the round's batched characterization — against a
-// copy of its battery and the hub's round-start snapshot. Eligibility,
-// walks, and fault state were already decided in the sequential
-// phase 0, so this writes only to the member's scratch slot (and reads
-// only member-owned state), which is what makes the phase safe and
-// deterministic under par.For at any worker count.
-func (h *Hub) planMember(i int, scr *runScratch, memberBatts []*energy.Battery,
-	hubSnap *energy.Battery, slice units.Second) {
-	ms := &scr.members[i]
-	m := &h.members[i]
-	if !ms.active {
-		return
+// topology places the star in net's plane: the hub at the origin and
+// member j at (0, j+1), distinct points only, because every member
+// carries a walk — its own, or a static one at Distance — and with the
+// couplings off the walk's home distance is the only geometry read.
+func (h *Hub) topology() *net.Topology {
+	members := make([]net.Member, len(h.members))
+	// One backing array for the static walks: a pointer into it is a
+	// sim.Walk without one allocation per member.
+	static := make([]sim.StaticWalk, len(h.members))
+	for j, m := range h.members {
+		walk := m.Walk
+		if walk == nil {
+			static[j] = sim.StaticWalk(m.Distance)
+			walk = &static[j]
+		}
+		members[j] = net.Member{
+			Device:  m.Device,
+			Pos:     field.Vec2{Y: float64(j + 1)},
+			Walk:    walk,
+			Faults:  m.Faults,
+			Load:    m.Load,
+			MinRate: m.MinRate,
+		}
 	}
-	ms.braid.Distance = ms.dist
-	ms.braid.MaxBits = float64(m.Load) * float64(slice)
-	ms.planB1 = *memberBatts[i]
-	ms.planB2 = *hubSnap
-	ms.err = ms.braid.RunInto(&ms.plan, &ms.scr, &ms.planB1, &ms.planB2)
+	return &net.Topology{Hubs: []net.Hub{{Device: h.device, Members: members}}}
 }
 
-// strikeMember records one failed round for a member and quarantines it
-// once the strike budget is exhausted, wrapping ErrMemberQuarantined
-// around the final cause. member and now feed the quarantine trace
-// event; rec may be nil.
-func (h *Hub) strikeMember(mr *MemberResult, strikes *int, round, member int, rec *obs.Recorder,
-	now units.Second, cause error, res *Result) {
-	*strikes++
-	if *strikes < h.strikeLimit() {
-		return
+// quarantineErr restates net's quarantine error in hub's words. net
+// wraps net.ErrMemberQuarantined and the failure's reason, in that
+// order; a member is quarantined on the strike that reaches the limit.
+func (h *Hub) quarantineErr(err error, name string) error {
+	if err == nil {
+		return nil
 	}
-	mr.Quarantined = true
-	mr.QuarantinedRound = round
-	mr.Err = fmt.Errorf("%w after %d consecutive failed rounds: %w", ErrMemberQuarantined, *strikes, cause)
-	res.Quarantines++
-	if rec != nil {
-		rec.Quarantines.Add(1)
-		rec.Trace(obs.Event{Kind: obs.EvQuarantine, Round: round, Member: member, Time: float64(now)})
+	reason := err.(interface{ Unwrap() []error }).Unwrap()[1]
+	strikes := h.QuarantineStrikes
+	if strikes <= 0 {
+		strikes = defaultQuarantineStrikes
 	}
+	return fmt.Errorf("%w after %d consecutive failed rounds: hub: member %s: %w",
+		ErrMemberQuarantined, strikes, name, reason)
 }
 
 // HubShare returns the fraction of the joint radio bill the hub paid
@@ -556,7 +332,7 @@ func (r *MemberResult) HubShare() float64 {
 }
 
 // Lifetime estimates how many horizons the member's battery funds at
-// the observed drain rate (+Inf for a zero drain).
+// the observed drain rate (0 when the member drained nothing).
 func (r *MemberResult) Lifetime() float64 {
 	if r.MemberDrain <= 0 {
 		return 0

@@ -8,6 +8,7 @@ import (
 	"braidio/internal/core"
 	"braidio/internal/energy"
 	"braidio/internal/faults"
+	"braidio/internal/net"
 	"braidio/internal/phy"
 	"braidio/internal/sim"
 	"braidio/internal/units"
@@ -206,6 +207,18 @@ func TestHubValidation(t *testing.T) {
 	if _, err := h.Run(10, 0); err == nil {
 		t.Error("zero rounds accepted")
 	}
+	if _, err := h.Run(units.Second(math.Inf(1)), 10); !errors.Is(err, net.ErrBadRun) {
+		t.Errorf("infinite horizon: %v, want net.ErrBadRun", err)
+	}
+	// A hub battery of zero capacity is refused by the network, not a
+	// panic in the battery constructor.
+	empty := New(energy.Device{Name: "no-battery", Class: "custom"}, nil)
+	if err := empty.Add(Member{Device: dev(t, "Apple Watch"), Distance: 0.4, Load: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := empty.Run(3600, 10); !errors.Is(err, net.ErrBadDevice) {
+		t.Errorf("zero-capacity hub: %v, want net.ErrBadDevice", err)
+	}
 	if got := len(h.Members()); got != 1 {
 		t.Errorf("members = %d", got)
 	}
@@ -222,6 +235,12 @@ func TestMemberLifetime(t *testing.T) {
 	band := res.Members[0]
 	if life := band.Lifetime(); life < 10000 {
 		t.Errorf("band lifetime = %v horizons, want enormous", life)
+	}
+	// A member that never transmitted has no share and no lifetime
+	// estimate.
+	var idle MemberResult
+	if idle.HubShare() != 0 || idle.Lifetime() != 0 {
+		t.Errorf("idle member: share %v, lifetime %v, want 0 and 0", idle.HubShare(), idle.Lifetime())
 	}
 }
 

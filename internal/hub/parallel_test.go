@@ -108,8 +108,8 @@ func TestHubRunParallelBitIdentical(t *testing.T) {
 }
 
 // TestHubRunRepeatIdentical: the same hub configuration rebuilt and
-// re-run must reproduce itself exactly — pooled scratch from a previous
-// run (including a different test's run) must never leak into results.
+// re-run must reproduce itself exactly — scratch from a previous run
+// (including a different test's run) must never leak into results.
 func TestHubRunRepeatIdentical(t *testing.T) {
 	const horizon, rounds = 1800, 12
 	a, err := buildMixedHub(t, 4).Run(horizon, rounds)
@@ -124,6 +124,40 @@ func TestHubRunRepeatIdentical(t *testing.T) {
 	bN, bE := normalize(b)
 	if !reflect.DeepEqual(aN, bN) || !reflect.DeepEqual(aE, bE) {
 		t.Errorf("identical rebuilt runs diverged:\n got %+v\nwant %+v", bN, aN)
+	}
+}
+
+// TestHubRunReusesNetwork: repeated runs of one hub reuse its network
+// and reproduce the first run exactly, a changed Workers count keeps
+// the Result, and Add drops the network so the next run serves the new
+// roster.
+func TestHubRunReusesNetwork(t *testing.T) {
+	h := bodyNetwork(t)
+	h.Workers = 1
+	first, err := h.Run(3600, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := normalize(first)
+	for _, workers := range []int{1, 4} {
+		h.Workers = workers
+		again, err := h.Run(3600, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := normalize(again); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: rerun diverged:\n got %+v\nwant %+v", workers, got, want)
+		}
+	}
+	if err := h.Add(Member{Device: dev(t, "Apple Watch"), Distance: 0.5, Load: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := h.Run(3600, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(grown.Members) != 4 || grown.Members[3].Bits <= 0 {
+		t.Errorf("after Add: %d members, new member delivered %v bits", len(grown.Members), grown.Members[len(grown.Members)-1].Bits)
 	}
 }
 

@@ -1,7 +1,12 @@
-// Package net scales Braidio from one star to a network of them: many
-// hubs, each serving its own braided members, sharing one physical
-// channel. Three couplings between stars — all absent from the
-// isolated-fleet engine (internal/hub) — are modeled and scheduled:
+// Package net is Braidio's round engine: one or more energy-rich hubs,
+// each serving its own braided members over one shared physical
+// channel. Braidio re-solves each link's offload split against the
+// batteries as they drain (§4.2, §6.3); Network.Run is the one place
+// that loop runs. The isolated star of internal/hub is a one-hub
+// Network with the three couplings below disabled: hub.Run is defined
+// as that run, so the two cannot disagree.
+//
+// Three couplings between stars are modeled and scheduled:
 //
 //   - Shared carriers. A backscatter tag does not care whose carrier it
 //     reflects. When a neighboring hub is already transmitting, a
@@ -26,15 +31,56 @@
 //     planner picks relay over direct only when it strictly lowers the
 //     member's energy per bit — or when direct is infeasible.
 //
-// Plan appraises one round without draining anything (the testable,
-// fuzzable entry point); Network.Run executes rounds against real
-// batteries with the same two-phase determinism contract as hub.Run:
-// plan concurrently against immutable snapshots writing only index-owned
-// state, commit sequentially in topology order. Results are
-// bit-identical at any Workers count, and with interference, carrier
-// sharing, and relays all disabled the per-hub arithmetic reduces
-// exactly — same canonical link slices, same memo behavior, same commit
-// order — to an isolated hub.Run per hub.
+// # Member behaviours
+//
+// Beyond a position and a load, a member may carry three behaviours:
+//
+//   - Walk sets the member's home distance at each round's start
+//     (clamped to MinDistance), overriding the Pos-derived one. Only the
+//     home distance moves: relay hops and carrier-donor geometry stay
+//     Pos-based.
+//   - Faults injects link faults once per round. A carrier dropout makes
+//     the round an outage: the member neither plans nor makes its hub
+//     emit, the round counts in MemberResult.OutageRounds, and it is a
+//     strike. Brownout drain scales are charged on top of the braid's
+//     energy, the TX side on the member and the RX side on the home hub,
+//     and the commit's shortfall test includes the RX scale.
+//   - MinRate makes the member's braid solve core.OptimizeQoS: it must
+//     sustain that delivered throughput while its slot is active.
+//
+// A member with Faults or MinRate is never offered a relay: a relay
+// round is two plain Eq. (1) solves that neither honour a rate floor
+// nor bill a brownout. Such a member may still ride a shared carrier or
+// see interference, which change its link set, not how its braid is
+// solved or billed.
+//
+// # Two-phase rounds
+//
+// Run is a deterministic parallel engine. Each round is a sequential
+// prologue and two phases:
+//
+//  0. Prologue: hub liveness and energy snapshots, walks and faults,
+//     member eligibility, the emission census, donor selection,
+//     interference, and link characterization.
+//  1. Plan: every eligible member solves and executes its braid against
+//     an immutable snapshot of its home hub's round-start energy and a
+//     copy of its own battery, concurrently over the shared worker pool
+//     (internal/par). Plans write only slot-owned scratch.
+//  2. Commit: in topology order, each plan's drains are applied to the
+//     real batteries, strikes and quarantines are charged, and totals
+//     are accumulated. If earlier commits drained a hub below what a
+//     later plan assumed, that member is re-solved against the true
+//     remaining energies (counted in Replans). A hub that dies stops
+//     serving for the rest of the round.
+//
+// Because plans touch only state owned by their slot index and the
+// commit order is fixed, the Result is bit-identical at any Workers
+// count. The one obligation on callers: a Member's Walk and Faults
+// state must be private to that member — both are advanced once per
+// round, so an injector shared across members would couple them.
+//
+// Plan appraises one round without draining anything: the testable,
+// fuzzable entry point.
 package net
 
 import (
@@ -44,10 +90,12 @@ import (
 
 	"braidio/internal/core"
 	"braidio/internal/energy"
+	"braidio/internal/faults"
 	"braidio/internal/field"
 	"braidio/internal/linkcache"
 	"braidio/internal/obs"
 	"braidio/internal/phy"
+	"braidio/internal/sim"
 	"braidio/internal/units"
 )
 
@@ -57,9 +105,22 @@ type Member struct {
 	Device energy.Device
 	// Pos is the member's position in the shared plane.
 	Pos field.Vec2
+	// Walk, when non-nil, sets the member's home distance at each
+	// round's start, overriding the one Pos implies (see the package
+	// comment for what stays Pos-based).
+	Walk sim.Walk
+	// Faults, when non-nil, injects link faults into the member's
+	// rounds: a carrier dropout window makes the round an outage, and
+	// brownout drain scales are charged on top of the braid's nominal
+	// energy (TX side = the member, RX side = the home hub).
+	Faults faults.Injector
 	// Load is the member's offered traffic in payload bits per second of
 	// wall-clock time.
 	Load units.BitRate
+	// MinRate, when positive, applies the QoS-constrained offload
+	// (core.OptimizeQoS): the member's braid must sustain at least this
+	// delivered throughput while its slot is active.
+	MinRate units.BitRate
 }
 
 // Hub is one energy-rich device serving a set of members.
@@ -121,7 +182,8 @@ const MinDistance units.Meter = 0.01
 // this only caps the search radius.
 const DefaultCarrierShareRange units.Meter = 5
 
-// defaultQuarantineStrikes matches hub.Run's strike budget.
+// defaultQuarantineStrikes is the strike budget when the caller leaves
+// Config.QuarantineStrikes at zero.
 const defaultQuarantineStrikes = 3
 
 // Config tunes the network scheduler. The zero value (plus a nil Model)
@@ -150,8 +212,8 @@ type Config struct {
 	// DisableCarrierShare never rides a neighbor's carrier.
 	DisableCarrierShare bool
 	// DisableRelay never considers 2-hop forwarding. With all three
-	// Disable flags set, a Run reduces bit-for-bit to an isolated
-	// hub.Run per hub.
+	// Disable flags set, hubs do not interact: a Run is one isolated
+	// star per hub, which is how hub.Run is defined.
 	DisableRelay bool
 	// Obs, when non-nil, receives network counters and is propagated to
 	// every member braid. Nil falls back to the process default recorder.
@@ -164,9 +226,17 @@ func Validate(t *Topology) error {
 	if t == nil || len(t.Hubs) == 0 {
 		return ErrNoHubs
 	}
-	checkPos := func(p field.Vec2, what string) error {
+	// Nodes are named only on the error path: member -1 is the hub.
+	type node struct{ hub, member int }
+	name := func(nd node) string {
+		if nd.member < 0 {
+			return fmt.Sprintf("hub %d", nd.hub)
+		}
+		return fmt.Sprintf("member %d/%d", nd.hub, nd.member)
+	}
+	checkPos := func(p field.Vec2, nd node) error {
 		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
-			return fmt.Errorf("%w: %s at (%v, %v)", ErrBadPosition, what, p.X, p.Y)
+			return fmt.Errorf("%w: %s at (%v, %v)", ErrBadPosition, name(nd), p.X, p.Y)
 		}
 		return nil
 	}
@@ -177,26 +247,31 @@ func Validate(t *Topology) error {
 		}
 		return nil
 	}
-	seen := make(map[field.Vec2]string, len(t.Hubs)*4)
+	nodes := len(t.Hubs)
+	for h := range t.Hubs {
+		nodes += len(t.Hubs[h].Members)
+	}
+	seen := make(map[field.Vec2]node, nodes)
 	for h := range t.Hubs {
 		hub := &t.Hubs[h]
 		if len(hub.Members) == 0 {
 			return fmt.Errorf("%w: hub %d (%s)", ErrEmptyHub, h, hub.Device.Name)
 		}
-		if err := checkPos(hub.Pos, fmt.Sprintf("hub %d", h)); err != nil {
+		hn := node{h, -1}
+		if err := checkPos(hub.Pos, hn); err != nil {
 			return err
 		}
 		if err := checkDev(hub.Device, "hub"); err != nil {
 			return err
 		}
 		if prev, dup := seen[hub.Pos]; dup {
-			return fmt.Errorf("%w: hub %d and %s", ErrCoincident, h, prev)
+			return fmt.Errorf("%w: hub %d and %s", ErrCoincident, h, name(prev))
 		}
-		seen[hub.Pos] = fmt.Sprintf("hub %d", h)
+		seen[hub.Pos] = hn
 		for j := range hub.Members {
 			m := &hub.Members[j]
-			what := fmt.Sprintf("member %d/%d", h, j)
-			if err := checkPos(m.Pos, what); err != nil {
+			mn := node{h, j}
+			if err := checkPos(m.Pos, mn); err != nil {
 				return err
 			}
 			if err := checkDev(m.Device, "member"); err != nil {
@@ -204,12 +279,12 @@ func Validate(t *Topology) error {
 			}
 			l := float64(m.Load)
 			if !(l > 0) || math.IsInf(l, 1) {
-				return fmt.Errorf("%w: %s load %v", ErrBadLoad, what, l)
+				return fmt.Errorf("%w: %s load %v", ErrBadLoad, name(mn), l)
 			}
 			if prev, dup := seen[m.Pos]; dup {
-				return fmt.Errorf("%w: %s and %s", ErrCoincident, what, prev)
+				return fmt.Errorf("%w: %s and %s", ErrCoincident, name(mn), name(prev))
 			}
-			seen[m.Pos] = what
+			seen[m.Pos] = mn
 		}
 	}
 	return nil
@@ -252,8 +327,8 @@ type relayPlan struct {
 // write it from any worker without synchronization.
 type slot struct {
 	hub, member int
-	homeDist    units.Meter
-	toHub       []units.Meter // clamped distance to every hub
+	homeDist    units.Meter   // this round's home distance (Walk or Pos)
+	toHub       []units.Meter // clamped Pos distance to every hub
 
 	braid    core.Braid
 	memoBase bool // braid's constructed DisableAllocationMemo
@@ -277,6 +352,8 @@ type slot struct {
 	err                          error
 	active                       bool
 	skipQuarantined, skipStarved bool
+	outage                       bool
+	txScale, rxScale             float64 // brownout drain scales
 	private                      bool
 	mw                           float64
 	donor                        int
@@ -301,6 +378,11 @@ type Network struct {
 	hubs    []hubState
 	slots   []slot
 	strikes []int
+	// full holds every hub's then every slot's battery at full charge;
+	// batts is the working copy a Run or PlanRound drains, reached
+	// through hubBatts and memberBatts.
+	full, batts           []energy.Battery
+	hubBatts, memberBatts []*energy.Battery
 	// dists, idx and links are phase 0's batched characterization of
 	// the canonical (interference-free) slots: their distances, their
 	// slot indices, and the shared link slices the view fills.
@@ -344,7 +426,13 @@ func New(t *Topology, cfg Config) (*Network, error) {
 		n.carrierRange = DefaultCarrierShareRange
 	}
 	nh := len(t.Hubs)
+	slots := 0
+	for h := range t.Hubs {
+		slots += len(t.Hubs[h].Members)
+	}
 	n.hubs = make([]hubState, nh)
+	n.slots = make([]slot, 0, slots)
+	toHub := make([]units.Meter, slots*nh)
 	n.hubDist = make([][]units.Meter, nh)
 	n.intMW = make([][]float64, nh)
 	for a := 0; a < nh; a++ {
@@ -370,7 +458,7 @@ func New(t *Topology, cfg Config) (*Network, error) {
 				hub:      h,
 				member:   j,
 				homeDist: clampDist(m.Pos.Dist(hub.Pos)),
-				toHub:    make([]units.Meter, nh),
+				toHub:    toHub[lo*nh : (lo+1)*nh : (lo+1)*nh],
 				donor:    -1,
 			}
 			for v := 0; v < nh; v++ {
@@ -379,6 +467,12 @@ func New(t *Topology, cfg Config) (*Network, error) {
 			s.braid = core.DefaultBraid(n.model, s.homeDist)
 			s.braid.Obs = cfg.Obs
 			s.braid.AllocationTolerance = cfg.AllocationTolerance
+			if m.MinRate > 0 {
+				minRate := m.MinRate
+				s.braid.Optimizer = func(links []phy.ModeLink, e1, e2 units.Joule) (*core.Allocation, error) {
+					return core.OptimizeQoS(links, e1, e2, minRate)
+				}
+			}
 			s.memoBase = s.braid.DisableAllocationMemo
 			n.slots = append(n.slots, s)
 			lo++
@@ -386,6 +480,20 @@ func New(t *Topology, cfg Config) (*Network, error) {
 		n.hubs[h].slotHi = lo
 	}
 	n.strikes = make([]int, len(n.slots))
+	n.full = make([]energy.Battery, nh+len(n.slots))
+	n.batts = make([]energy.Battery, len(n.full))
+	ptrs := make([]*energy.Battery, len(n.full))
+	for i := range ptrs {
+		ptrs[i] = &n.batts[i]
+	}
+	n.hubBatts, n.memberBatts = ptrs[:nh:nh], ptrs[nh:]
+	for h := range t.Hubs {
+		n.full[h] = *t.Hubs[h].Device.NewBattery()
+	}
+	for i := range n.slots {
+		s := &n.slots[i]
+		n.full[nh+i] = *t.Hubs[s.hub].Members[s.member].Device.NewBattery()
+	}
 	n.dists = make([]units.Meter, len(n.slots))
 	n.idx = make([]int, len(n.slots))
 	n.links = make([][]phy.ModeLink, len(n.slots))
@@ -411,16 +519,5 @@ func (n *Network) interferenceAt(rx, exclude int) float64 {
 	return mw
 }
 
-// newBatteries builds fresh batteries for every hub and member slot.
-func (n *Network) newBatteries() (hubBatts, memberBatts []*energy.Battery) {
-	hubBatts = make([]*energy.Battery, len(n.topo.Hubs))
-	for h := range n.topo.Hubs {
-		hubBatts[h] = n.topo.Hubs[h].Device.NewBattery()
-	}
-	memberBatts = make([]*energy.Battery, len(n.slots))
-	for i := range n.slots {
-		s := &n.slots[i]
-		memberBatts[i] = n.topo.Hubs[s.hub].Members[s.member].Device.NewBattery()
-	}
-	return hubBatts, memberBatts
-}
+// refill recharges every hub and member battery.
+func (n *Network) refill() { copy(n.batts, n.full) }

@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"braidio/internal/core"
-	"braidio/internal/energy"
+	"braidio/internal/faults"
 	"braidio/internal/par"
 	"braidio/internal/phy"
 	"braidio/internal/units"
@@ -89,17 +89,16 @@ func Plan(t *Topology, cfg Config, slice units.Second) (*RoundPlan, error) {
 }
 
 // PlanRound appraises one round of length slice against fresh
-// batteries without draining anything.
+// batteries without draining anything. It is round 0: walks and faults
+// are evaluated at t=0, which advances a stateful injector.
 func (n *Network) PlanRound(slice units.Second) (*RoundPlan, error) {
 	if !(float64(slice) > 0) || math.IsInf(float64(slice), 1) {
 		return nil, fmt.Errorf("%w: slice %v", ErrBadRun, float64(slice))
 	}
-	hubBatts, memberBatts := n.newBatteries()
+	n.refill()
 	res := n.newResult(slice, 1)
-	n.phase0(res, hubBatts, memberBatts)
-	par.For(n.cfg.Workers, len(n.slots), func(i int) {
-		n.planSlot(i, memberBatts, slice, true, false)
-	})
+	n.phase0(res, 0)
+	par.For(n.cfg.Workers, len(n.slots), func(i int) { n.planSlot(i, slice, false) })
 	p := &RoundPlan{
 		Emitting: make([]bool, len(n.hubs)),
 		Members:  make([]MemberPlan, len(n.slots)),
@@ -137,28 +136,31 @@ func (n *Network) PlanRound(slice units.Second) (*RoundPlan, error) {
 	return p, nil
 }
 
-// phase0 is the sequential round prologue: hub liveness and energy
-// snapshots, member eligibility, the emission census, donor selection,
-// per-receiver interference aggregation, and link construction. Slots
-// on the isolated path (no interference, no donor) get their canonical
-// linkcache slices via one batched characterization — the same
-// arithmetic, the same shared slices, and hence the same allocation-
-// memo behavior as hub.Run. Interfered or carrier-shared slots get a
-// private link build with the braid's allocation memo disabled for the
-// round (see slot.priv).
-func (n *Network) phase0(res *Result, hubBatts, memberBatts []*energy.Battery) {
+// phase0 is the sequential round prologue at time now: hub liveness and
+// energy snapshots, walks and faults, member eligibility, the emission
+// census, donor selection, per-receiver interference aggregation, and
+// link construction. Each walk and injector is advanced exactly once
+// per round, and only for a member its hub could serve. Slots on the
+// isolated path (no interference, no donor) get their canonical
+// linkcache slices via one batched characterization, so their braids'
+// allocation memos keep their slice-identity semantics. Interfered or
+// carrier-shared slots get a private link build with the braid's
+// allocation memo disabled for the round (see slot.priv).
+func (n *Network) phase0(res *Result, now units.Second) {
 	for h := range n.hubs {
 		hs := &n.hubs[h]
-		hs.alive = !hubBatts[h].Empty()
+		hs.alive = !n.hubBatts[h].Empty()
 		hs.emitting = false
-		hs.snap = *hubBatts[h]
+		hs.snap = *n.hubBatts[h]
 	}
-	// Pass A: eligibility and the emission census.
+	// Pass A: walks, faults, eligibility, and the emission census.
 	for i := range n.slots {
 		s := &n.slots[i]
 		mr := &res.Hubs[s.hub].Members[s.member]
 		s.err = nil
 		s.active = false
+		s.outage = false
+		s.txScale, s.rxScale = 1, 1
 		s.private = false
 		s.mw = 0
 		s.donor = -1
@@ -170,9 +172,23 @@ func (n *Network) phase0(res *Result, hubBatts, memberBatts []*energy.Battery) {
 		s.directTX = math.Inf(1)
 		s.directBits = 0
 		s.skipQuarantined = mr.Quarantined
-		s.skipStarved = !mr.Quarantined && memberBatts[i].Empty()
+		s.skipStarved = !mr.Quarantined && n.memberBatts[i].Empty()
 		if !n.hubs[s.hub].alive || s.skipQuarantined || s.skipStarved {
 			continue
+		}
+		m := &n.topo.Hubs[s.hub].Members[s.member]
+		if m.Walk != nil {
+			s.homeDist = clampDist(float64(m.Walk.DistanceAt(now)))
+		}
+		if m.Faults != nil {
+			var env faults.Env
+			env.Reset(now, phy.ModeActive, units.Rate1M, 0)
+			m.Faults.Impair(&env)
+			if env.CarrierLost {
+				s.outage = true
+				continue
+			}
+			s.txScale, s.rxScale = env.TXDrain, env.RXDrain
 		}
 		s.active = true
 		n.hubs[s.hub].emitting = true
@@ -257,11 +273,12 @@ func (n *Network) pickDonor(s *slot) {
 	}
 }
 
-// planSlot is the parallel plan phase for one slot: appraise direct
-// versus relay (when appraise is set), then — for non-relay ops when
-// execute is set — run the member's braid against battery copies,
-// exactly as hub.planMember does. It writes only slot-owned state.
-func (n *Network) planSlot(i int, memberBatts []*energy.Battery, slice units.Second, appraise, execute bool) {
+// planSlot is the parallel plan phase for one slot. When the member may
+// be relayed, or when the round is only appraised (execute unset), it
+// prices direct against relay; then, for non-relay ops when execute is
+// set, it runs the member's braid against battery copies. It writes
+// only slot-owned state.
+func (n *Network) planSlot(i int, slice units.Second, execute bool) {
 	s := &n.slots[i]
 	if !s.active {
 		return
@@ -273,15 +290,22 @@ func (n *Network) planSlot(i int, memberBatts []*energy.Battery, slice units.Sec
 		s.op = OpShared
 	}
 	load := float64(m.Load) * float64(slice)
-	e1, e2 := memberBatts[i].Remaining(), hs.snap.Remaining()
-	if appraise {
+	e1, e2 := n.memberBatts[i].Remaining(), hs.snap.Remaining()
+	relay := !n.cfg.DisableRelay && !(m.MinRate > 0) && m.Faults == nil
+	if relay || !execute {
 		if len(s.links) > 0 {
-			if err := core.OptimizeInto(&s.alloc, s.links, e1, e2); err == nil {
-				s.directTX = float64(s.alloc.TX)
-				s.directBits = math.Min(load, s.alloc.Bits)
+			a, err := &s.alloc, error(nil)
+			if m.MinRate > 0 {
+				a, err = core.OptimizeQoS(s.links, e1, e2, m.MinRate)
+			} else {
+				err = core.OptimizeInto(a, s.links, e1, e2)
+			}
+			if err == nil {
+				s.directTX = float64(a.TX)
+				s.directBits = math.Min(load, a.Bits)
 			}
 		}
-		if !n.cfg.DisableRelay {
+		if relay {
 			n.appraiseRelay(i, e1, load)
 			if s.relay.ok && (math.IsInf(s.directTX, 1) || s.relay.txPerBit < s.directTX) {
 				s.op = OpRelay
@@ -297,7 +321,7 @@ func (n *Network) planSlot(i int, memberBatts []*energy.Battery, slice units.Sec
 	s.braid.Distance = s.homeDist
 	s.braid.MaxBits = load
 	s.braid.DisableAllocationMemo = s.memoBase || s.private
-	s.planB1 = *memberBatts[i]
+	s.planB1 = *n.memberBatts[i]
 	s.planB2 = hs.snap
 	if len(s.links) == 0 {
 		// An empty canonical slice would make the braid re-characterize

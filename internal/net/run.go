@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"math"
 
-	"braidio/internal/energy"
 	"braidio/internal/obs"
 	"braidio/internal/par"
 	"braidio/internal/phy"
@@ -32,10 +31,14 @@ type MemberResult struct {
 	// Starved reports the member's battery died before the horizon.
 	Starved bool
 	// Quarantined reports the member was removed from scheduling; Err
-	// then wraps ErrMemberQuarantined and the cause.
+	// then wraps ErrMemberQuarantined and the final failure's reason,
+	// in that order (its Unwrap() []error returns exactly those two).
 	Quarantined      bool
 	QuarantinedRound int
 	Err              error
+	// OutageRounds counts rounds lost to injected carrier dropouts. It
+	// is not part of Result.Digest.
+	OutageRounds int
 }
 
 // HubResult is one hub's share of a network run.
@@ -94,7 +97,7 @@ func (r *Result) TotalBits() float64 {
 
 // Digest is an order-sensitive FNV-1a fingerprint of every numeric
 // outcome in the result — the golden determinism tests pin it across
-// worker counts and topologies.
+// worker counts and topologies. MemberResult.OutageRounds is left out.
 func (r *Result) Digest() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -201,37 +204,91 @@ func (n *Network) newResult(horizon units.Second, rounds int) *Result {
 	return res
 }
 
-// strike records one failed round for a slot and quarantines the member
-// once the strike budget is exhausted.
-func (n *Network) strike(res *Result, mr *MemberResult, i, round int, rec *obs.Recorder,
-	now units.Second, cause error) {
+// commit is one round's commit-phase context: the result being
+// tallied, the recorder (nil when off), and the round's index and
+// start time.
+type commit struct {
+	res   *Result
+	rec   *obs.Recorder
+	round int
+	now   units.Second
+}
+
+// trace records a round event for slot i (-1 for a hub event). The
+// caller has checked rec.
+func (c *commit) trace(kind obs.EventKind, i int) {
+	c.rec.Trace(obs.Event{Kind: kind, Round: c.round, Member: i, Time: float64(c.now)})
+}
+
+// replan counts one commit-time re-solve for slot i of hub hr.
+func (c *commit) replan(hr *HubResult, i int) {
+	c.res.Replans++
+	hr.Replans++
+	if c.rec != nil {
+		c.rec.Replans.Add(1)
+		c.trace(obs.EvReplan, i)
+	}
+}
+
+// died records that hub hr's battery hit empty this round, once.
+func (c *commit) died(hr *HubResult) {
+	if hr.DiedRound >= 0 {
+		return
+	}
+	hr.DiedRound = c.round
+	if c.rec != nil {
+		c.rec.HubDeaths.Add(1)
+		c.trace(obs.EvHubDeath, -1)
+	}
+}
+
+// interfered counts a committed round of s served under interference.
+func (c *commit) interfered(mr *MemberResult, s *slot) {
+	if s.mw > 0 {
+		mr.InterferedRounds++
+		c.res.InterferedRounds++
+		if c.rec != nil {
+			c.rec.InterferedRounds.Add(1)
+		}
+	}
+}
+
+// strike records one failed round for slot i and quarantines the member
+// once the strike budget is exhausted, wrapping ErrMemberQuarantined
+// around the final failure's reason.
+func (n *Network) strike(c *commit, mr *MemberResult, i int, reason error) {
 	n.strikes[i]++
 	if n.strikes[i] < n.strikeLimit {
 		return
 	}
+	s := &n.slots[i]
 	mr.Quarantined = true
-	mr.QuarantinedRound = round
-	mr.Err = fmt.Errorf("%w after %d consecutive failed rounds: %w", ErrMemberQuarantined, n.strikes[i], cause)
-	res.Quarantines++
-	if rec != nil {
-		rec.Quarantines.Add(1)
-		rec.Trace(obs.Event{Kind: obs.EvQuarantine, Round: round, Member: i, Time: float64(now)})
+	mr.QuarantinedRound = c.round
+	mr.Err = fmt.Errorf("%w after %d consecutive failed rounds: net: member %d/%d: %w",
+		ErrMemberQuarantined, n.strikes[i], s.hub, s.member, reason)
+	c.res.Quarantines++
+	if c.rec != nil {
+		c.rec.Quarantines.Add(1)
+		c.trace(obs.EvQuarantine, i)
 	}
 }
 
-// Run simulates the network for a wall-clock horizon split into rounds.
-// Each round: phase 0 decides eligibility, carriers, donors, and
-// interference sequentially; phase 1 plans every member concurrently
-// against immutable round-start snapshots; phase 2 commits drains in
-// topology order, replicating hub.Run's commit discipline per hub
-// (replan on drifted budgets, strikes and quarantine, hub-death
-// mid-round cutoff) and settling relay rounds across the three
-// batteries involved. The Result is bit-identical at any Workers count.
+// Run simulates the network for a wall-clock horizon split into rounds
+// (see the package comment for the two-phase determinism contract).
+// Phase 2 commits per hub in topology order: replan on drifted budgets,
+// strikes and quarantine, the hub-death mid-round cutoff, and relay
+// rounds settled across the three batteries involved. Run stops early
+// once every hub is dead.
+//
+// Member failures do not abort the run: a round that errors (the member
+// walked out of range, its QoS floor is infeasible, its carrier
+// dropped) counts a strike, and a member that exhausts its strike
+// budget is quarantined while the others keep being served.
 func (n *Network) Run(horizon units.Second, rounds int) (*Result, error) {
 	if horizon <= 0 || rounds < 1 || math.IsInf(float64(horizon), 1) || math.IsNaN(float64(horizon)) {
 		return nil, fmt.Errorf("%w: horizon %v / rounds %d", ErrBadRun, float64(horizon), rounds)
 	}
-	hubBatts, memberBatts := n.newBatteries()
+	n.refill()
 	res := n.newResult(horizon, rounds)
 	rec := obs.Active(n.cfg.Obs)
 	for i := range n.slots {
@@ -239,13 +296,11 @@ func (n *Network) Run(horizon units.Second, rounds int) (*Result, error) {
 		n.strikes[i] = 0
 	}
 	slice := horizon / units.Second(rounds)
-	appraise := !n.cfg.DisableRelay
-	var now units.Second
-	plan := func(i int) { n.planSlot(i, memberBatts, slice, appraise, true) }
+	plan := func(i int) { n.planSlot(i, slice, true) }
 
 	for round := 0; round < rounds; round++ {
-		now = units.Second(round) * slice
-		n.phase0(res, hubBatts, memberBatts)
+		c := commit{res: res, rec: rec, round: round, now: units.Second(round) * slice}
+		n.phase0(res, c.now)
 		anyAlive := false
 		for h := range n.hubs {
 			if n.hubs[h].alive {
@@ -259,7 +314,11 @@ func (n *Network) Run(horizon units.Second, rounds int) (*Result, error) {
 			break
 		}
 		if rec != nil {
-			rec.NetRounds.Add(1)
+			// A one-hub run is an isolated star (hub.Run), not a
+			// network round.
+			if len(n.hubs) > 1 {
+				rec.NetRounds.Add(1)
+			}
 			rec.BatchRounds.Add(1)
 		}
 
@@ -273,158 +332,159 @@ func (n *Network) Run(horizon units.Second, rounds int) (*Result, error) {
 			if !hs.alive {
 				continue
 			}
-			if hubBatts[h].Empty() {
+			if n.hubBatts[h].Empty() {
 				// An earlier hub's relay drained this hub to death before
 				// its own commits ran: record the death and serve nobody —
 				// striking every member for an external drain would
 				// quarantine a healthy roster.
-				if hr.DiedRound < 0 {
-					hr.DiedRound = round
-					if rec != nil {
-						rec.HubDeaths.Add(1)
-						rec.Trace(obs.Event{Kind: obs.EvHubDeath, Round: round, Member: -1, Time: float64(now)})
-					}
-				}
+				c.died(hr)
 				continue
 			}
 			for i := hs.slotLo; i < hs.slotHi; i++ {
 				s := &n.slots[i]
 				mr := &hr.Members[s.member]
-				if s.skipQuarantined {
+				switch {
+				case s.skipQuarantined:
 					continue
-				}
-				if s.skipStarved {
+				case s.skipStarved:
 					mr.Starved = true
 					continue
-				}
-				m := &n.topo.Hubs[h].Members[s.member]
-				bits := float64(m.Load) * float64(slice)
-				if s.op == OpRelay {
-					n.commitRelay(res, hr, mr, s, i, h, round, bits, rec, now, hubBatts, memberBatts)
-				} else {
-					if s.err == nil {
-						run := &s.plan
-						if hubBatts[h].Remaining() < run.Drain2 {
-							// Earlier commits (this hub's members, or a
-							// relay billed to this hub) drained it below
-							// the snapshot: re-solve against the truth.
-							res.Replans++
-							hr.Replans++
-							if rec != nil {
-								rec.Replans.Add(1)
-								rec.Trace(obs.Event{Kind: obs.EvReplan, Round: round, Member: i, Time: float64(now)})
-							}
-							s.err = s.braid.RunInto(&s.plan, &s.scr, memberBatts[i], hubBatts[h])
-						} else {
-							memberBatts[i].Drain(run.Drain1)
-							hubBatts[h].Drain(run.Drain2)
-						}
-					}
-					if s.err != nil {
-						n.strike(res, mr, i, round, rec, now,
-							fmt.Errorf("net: member %d/%d: %w", h, s.member, s.err))
-						continue
-					}
-					run := &s.plan
-					n.strikes[i] = 0
+				case s.outage:
+					mr.OutageRounds++
 					if rec != nil {
-						rec.MemberRounds.Add(1)
+						rec.OutageRounds.Add(1)
+						c.trace(obs.EvOutage, i)
 					}
-					mr.Bits += run.Bits
-					hr.LPSolves += run.LPSolves
-					hr.AllocReuses += run.AllocReuses
-					mr.MemberDrain += run.Drain1
-					mr.HubDrain += run.Drain2
-					hr.Drain += run.Drain2
-					for mode, mb := range run.ModeBits {
-						mr.ModeBits[mode] += mb
-					}
-					if s.op == OpShared {
-						mr.SharedRounds++
-						res.SharedRounds++
-						if rec != nil {
-							rec.CarrierShares.Add(1)
-						}
-					} else {
-						mr.DirectRounds++
-					}
-					if s.mw > 0 {
-						mr.InterferedRounds++
-						res.InterferedRounds++
-						if rec != nil {
-							rec.InterferedRounds.Add(1)
-						}
-					}
-					if run.Bits < bits*0.999 && memberBatts[i].Empty() {
-						mr.Starved = true
-					}
+					n.strike(&c, mr, i, fmt.Errorf("carrier lost at t=%vs", float64(c.now)))
+					continue
+				}
+				bits := float64(n.topo.Hubs[h].Members[s.member].Load) * float64(slice)
+				if s.op == OpRelay {
+					n.commitRelay(&c, hr, mr, i, bits)
+				} else if !n.commitBraid(&c, hr, mr, i, bits) {
+					continue
 				}
 				// Hub-death accounting: checked after every commit — a
 				// dead hub must not keep serving the rest of the round.
-				if hubBatts[h].Empty() {
-					if hr.DiedRound < 0 {
-						hr.DiedRound = round
-						if rec != nil {
-							rec.HubDeaths.Add(1)
-							rec.Trace(obs.Event{Kind: obs.EvHubDeath, Round: round, Member: -1, Time: float64(now)})
-						}
-					}
+				if n.hubBatts[h].Empty() {
+					c.died(hr)
 					break
 				}
 			}
 		}
 	}
 	for h := range n.hubs {
-		res.Hubs[h].Exhausted = hubBatts[h].Empty()
+		res.Hubs[h].Exhausted = n.hubBatts[h].Empty()
 	}
 	return res, nil
 }
 
-// commitRelay settles one relayed member-round: re-clamp the planned
+// commitBraid settles one direct or carrier-shared round of slot i:
+// apply the plan's drains — re-solving against the true remaining
+// energies if earlier commits (this hub's members, or a relay billed to
+// this hub) drained the home hub below what the plan assumed — then the
+// brownout surcharges. It reports false when the round failed and was
+// struck.
+func (n *Network) commitBraid(c *commit, hr *HubResult, mr *MemberResult, i int, bits float64) bool {
+	s := &n.slots[i]
+	mb, hb := n.memberBatts[i], n.hubBatts[s.hub]
+	run := &s.plan
+	if s.err == nil {
+		hubNeed := run.Drain2
+		if s.rxScale > 1 {
+			hubNeed += run.Drain2 * units.Joule(s.rxScale-1)
+		}
+		if hb.Remaining() < hubNeed {
+			c.replan(hr, i)
+			s.err = s.braid.RunInto(run, &s.scr, mb, hb)
+		} else {
+			mb.Drain(run.Drain1)
+			hb.Drain(run.Drain2)
+		}
+	}
+	if s.err != nil {
+		n.strike(c, mr, i, s.err)
+		return false
+	}
+	n.strikes[i] = 0
+	if c.rec != nil {
+		c.rec.MemberRounds.Add(1)
+	}
+	mr.Bits += run.Bits
+	hr.LPSolves += run.LPSolves
+	hr.AllocReuses += run.AllocReuses
+	mr.MemberDrain += run.Drain1
+	mr.HubDrain += run.Drain2
+	hr.Drain += run.Drain2
+	if s.txScale > 1 {
+		extra := run.Drain1 * units.Joule(s.txScale-1)
+		mb.Drain(extra)
+		mr.MemberDrain += extra
+	}
+	if s.rxScale > 1 {
+		extra := run.Drain2 * units.Joule(s.rxScale-1)
+		hb.Drain(extra)
+		mr.HubDrain += extra
+		hr.Drain += extra
+	}
+	for mode, b := range run.ModeBits {
+		mr.ModeBits[mode] += b
+	}
+	if s.op == OpShared {
+		mr.SharedRounds++
+		c.res.SharedRounds++
+		if c.rec != nil {
+			c.rec.CarrierShares.Add(1)
+		}
+	} else {
+		mr.DirectRounds++
+	}
+	c.interfered(mr, s)
+	if run.Bits < bits*0.999 && mb.Empty() {
+		mr.Starved = true
+	}
+	return true
+}
+
+// commitRelay settles one relayed round of slot i: re-clamp the planned
 // bits against the *current* remaining budgets (earlier commits this
 // round may have drained the via or home hub), then bill the member the
 // hop-1 TX, the via hub both middle legs, and the home hub the hop-2
 // RX — the three per-bit prices straight from the appraisal's two
 // chained Optimize solves.
-func (n *Network) commitRelay(res *Result, hr *HubResult, mr *MemberResult, s *slot,
-	i, h, round int, bits float64, rec *obs.Recorder, now units.Second,
-	hubBatts, memberBatts []*energy.Battery) {
+func (n *Network) commitRelay(c *commit, hr *HubResult, mr *MemberResult, i int, bits float64) {
+	s := &n.slots[i]
 	rp := &s.relay
-	vres := &res.Hubs[rp.via]
+	mb, vb, hb := n.memberBatts[i], n.hubBatts[rp.via], n.hubBatts[s.hub]
+	vres := &c.res.Hubs[rp.via]
 	B := rp.bits
-	if c := float64(memberBatts[i].Remaining()) / rp.txPerBit; c < B {
-		B = c
+	if v := float64(mb.Remaining()) / rp.txPerBit; v < B {
+		B = v
 	}
-	if c := float64(hubBatts[rp.via].Remaining()) / rp.viaPerBit; c < B {
-		B = c
+	if v := float64(vb.Remaining()) / rp.viaPerBit; v < B {
+		B = v
 	}
-	if c := float64(hubBatts[h].Remaining()) / rp.rxPerBit; c < B {
-		B = c
+	if v := float64(hb.Remaining()) / rp.rxPerBit; v < B {
+		B = v
 	}
 	if B < rp.bits {
-		res.Replans++
-		hr.Replans++
-		if rec != nil {
-			rec.Replans.Add(1)
-			rec.Trace(obs.Event{Kind: obs.EvReplan, Round: round, Member: i, Time: float64(now)})
-		}
+		c.replan(hr, i)
 	}
 	if !(B > 0) {
-		n.strike(res, mr, i, round, rec, now,
-			fmt.Errorf("net: member %d/%d: relay via hub %d has no budget", h, s.member, rp.via))
+		n.strike(c, mr, i, fmt.Errorf("relay via hub %d has no budget", rp.via))
 		return
 	}
 	memE := units.Joule(B * rp.txPerBit)
 	viaE := units.Joule(B * rp.viaPerBit)
 	homeE := units.Joule(B * rp.rxPerBit)
-	memberBatts[i].Drain(memE)
-	hubBatts[rp.via].Drain(viaE)
-	hubBatts[h].Drain(homeE)
+	mb.Drain(memE)
+	vb.Drain(viaE)
+	hb.Drain(homeE)
 	n.strikes[i] = 0
-	if rec != nil {
-		rec.MemberRounds.Add(1)
-		rec.RelayRounds.Add(1)
-		rec.RelayBits.Add(B)
+	if c.rec != nil {
+		c.rec.MemberRounds.Add(1)
+		c.rec.RelayRounds.Add(1)
+		c.rec.RelayBits.Add(B)
 	}
 	mr.Bits += B
 	mr.RelayBits += B
@@ -437,26 +497,16 @@ func (n *Network) commitRelay(res *Result, hr *HubResult, mr *MemberResult, s *s
 		mr.ModeBits[mode] += B * rp.modeShare[mode]
 	}
 	mr.RelayRounds++
-	res.RelayRounds++
-	res.RelayBits += B
-	if s.mw > 0 {
-		mr.InterferedRounds++
-		res.InterferedRounds++
-		if rec != nil {
-			rec.InterferedRounds.Add(1)
-		}
-	}
-	if B < bits*0.999 && memberBatts[i].Empty() {
+	c.res.RelayRounds++
+	c.res.RelayBits += B
+	c.interfered(mr, s)
+	if B < bits*0.999 && mb.Empty() {
 		mr.Starved = true
 	}
 	// A relay can kill the via hub mid-round; its own commit loop (or
 	// the next round's census) observes the death, but the round of
 	// death is recorded here so it is attributed correctly.
-	if hubBatts[rp.via].Empty() && vres.DiedRound < 0 {
-		vres.DiedRound = round
-		if rec != nil {
-			rec.HubDeaths.Add(1)
-			rec.Trace(obs.Event{Kind: obs.EvHubDeath, Round: round, Member: -1, Time: float64(now)})
-		}
+	if vb.Empty() {
+		c.died(vres)
 	}
 }

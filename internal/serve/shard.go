@@ -232,7 +232,7 @@ func (s *shard) buildPlan(e *Engine, i int, epoch uint64, hubE units.Joule) {
 	j := &s.jobs[i]
 	n := int(s.batch.Cols.Len[i])
 	if n == 0 {
-		j.err = fmt.Errorf("out of range at %.2fm", float64(j.distance))
+		j.err = fmt.Errorf("out of range at %.2fm: %w", float64(j.distance), core.ErrOutOfRange)
 		return
 	}
 	if err := s.batch.Errs[i]; err != nil {
