@@ -33,7 +33,9 @@ race:
 # and single-mutation journal lines against the serve journal decoder's
 # record-or-error contract; FuzzDeviceBody covers arbitrary and
 # single-mutation /v1/register and /v1/update bodies against the device
-# endpoints' status contract and the following epoch.
+# endpoints' status contract and the following epoch; FuzzRecoverSegment
+# covers byte-mutated segment heads against recovery's contract (an
+# error, or a state that replays to the reference digest).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecode$$ -fuzztime=10s ./internal/frame
 	$(GO) test -run=NONE -fuzz=FuzzDecodeMutated -fuzztime=10s ./internal/frame
@@ -41,6 +43,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzPlan -fuzztime=10s ./internal/net
 	$(GO) test -run=NONE -fuzz=FuzzDecodeJournalLine -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzDeviceBody -fuzztime=10s ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzRecoverSegment -fuzztime=10s ./internal/serve
 
 # Coverage floors for the paper-critical packages (offload solver, hub
 # engine, MAC, network scheduler). Set a few points below current

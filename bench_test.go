@@ -15,7 +15,6 @@ import (
 	"braidio/internal/core"
 	"braidio/internal/experiments"
 	"braidio/internal/linecode"
-	"braidio/internal/linkcache"
 	"braidio/internal/modem"
 	"braidio/internal/phy"
 	"braidio/internal/rng"
@@ -118,35 +117,10 @@ func BenchmarkPairTransfer(b *testing.B) {
 }
 
 // BenchmarkGainMatrixBluetooth10 measures the full 10×10 Fig. 15 gain
-// matrix at 0.5 m with the scheduling-layer caches on (the default) —
-// the acceptance benchmark for the linkcache + allocation-memo +
-// block-costing work, which must beat the seed's per-row-goroutine,
-// map-heavy implementation by ≥ 3× while staying bit-identical.
+// matrix at 0.5 m: one characterization shared by every cell, then one
+// braid run per cell.
 func BenchmarkGainMatrixBluetooth10(b *testing.B) {
 	devices := Devices()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m, err := GainMatrix(0.5, devices)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if m.Max() <= 0 {
-			b.Fatal("empty matrix")
-		}
-	}
-}
-
-// BenchmarkGainMatrixBluetooth10Uncached is the same matrix with the
-// link cache and allocation memo forced off — the contrast run that
-// isolates what the caches contribute beyond the cheaper window costing.
-func BenchmarkGainMatrixBluetooth10Uncached(b *testing.B) {
-	devices := Devices()
-	linkcache.SetEnabled(false)
-	core.DefaultDisableAllocationMemo = true
-	defer func() {
-		linkcache.SetEnabled(true)
-		core.DefaultDisableAllocationMemo = false
-	}()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m, err := GainMatrix(0.5, devices)

@@ -178,7 +178,9 @@ type Pair struct {
 	model *Model
 	// braid holds the pair's braid configuration. Runs operate on a
 	// per-call copy so concurrent transfers on one Pair never share
-	// mutable engine state.
+	// mutable engine state. Its Links stay nil: each run characterizes
+	// the model once into its own scratch, so a change made through
+	// Model() reaches the next run.
 	braid *core.Braid
 	// walk and sessionFaults configure packet-level sessions opened on
 	// this pair.
@@ -227,14 +229,6 @@ func WithWalk(w Walk) Option {
 // chain per pair.
 func WithSessionFaults(inj FaultInjector) Option {
 	return func(p *Pair) { p.sessionFaults = inj }
-}
-
-// WithoutLinkCache bypasses the process-global PHY characterization memo
-// for this pair's braid. The cache is exact (keyed on the full model
-// value and distance), so this exists for benchmarking and debugging,
-// not correctness.
-func WithoutLinkCache() Option {
-	return func(p *Pair) { p.braid.DisableLinkCache = true }
 }
 
 // NewPair creates a transfer pair. The zero configuration uses the

@@ -113,20 +113,8 @@ func TestCLISimMetrics(t *testing.T) {
 			t.Errorf("-metrics table missing %q:\n%s", want, table)
 		}
 	}
-	// The table must be byte-identical across worker counts except the
-	// link-cache lines: the cache is process-global and its hit/miss
-	// split depends on shard interleaving (the same sections
-	// Snapshot.Canonical projects out).
-	stripCache := func(s string) string {
-		var kept []string
-		for _, line := range strings.Split(s, "\n") {
-			if !strings.Contains(line, "cache") {
-				kept = append(kept, line)
-			}
-		}
-		return strings.Join(kept, "\n")
-	}
-	if par := runCLI(t, append(args, "table", "-workers", "8")...); stripCache(par) != stripCache(table) {
+	// The table must be byte-identical across worker counts.
+	if par := runCLI(t, append(args, "table", "-workers", "8")...); par != table {
 		t.Errorf("-metrics table differs between -workers 1 and 8:\n--- w1:\n%s--- w8:\n%s", table, par)
 	}
 	if out := runCLI(t, append(args, "json")...); !strings.Contains(out, `"BraidRuns": 24`) {

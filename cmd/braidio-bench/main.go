@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"braidio/internal/experiments"
-	"braidio/internal/linkcache"
 	"braidio/internal/obs"
 )
 
@@ -34,7 +33,6 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments and exit")
 	exp := flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
 	csvDir := flag.String("csv", "", "also write CSV files to this directory")
-	stats := flag.Bool("stats", false, "print scheduling-layer cache statistics after the run")
 	benchJSON := flag.String("benchjson", "", "parse `go test -bench` output from stdin and write a JSON benchmark record to this file")
 	benchDiff := flag.String("benchdiff", "", "baseline JSON record (from -benchjson); compares against the record named by the trailing argument and exits 1 on regression")
 	threshold := flag.Float64("threshold", 0.25, "fractional ns/op and allocs/op growth tolerated by -benchdiff before a benchmark counts as regressed")
@@ -124,16 +122,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "braidio-bench: metrics: %v\n", err)
 			os.Exit(1)
 		}
-	}
-	if *stats {
-		s := linkcache.Snapshot()
-		total := s.Hits + s.Misses
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(s.Hits) / float64(total)
-		}
-		fmt.Printf("\n== PHY link cache ==\nhits: %d  misses: %d  (%.1f%% hit rate, %d resident entries)\n",
-			s.Hits, s.Misses, pct, s.Entries)
 	}
 	if failed > 0 {
 		os.Exit(1)

@@ -128,7 +128,8 @@ func (s *BatchScratch) BlockCountsRow(k, window int) []int {
 }
 
 // batchSeqThreshold is the slot count below which the batch kernels
-// stay sequential — same rationale as linkcache's batch threshold.
+// stay sequential: striping a handful of slots over the pool costs more
+// in goroutine fan-out than it saves.
 const batchSeqThreshold = 64
 
 // parSlots reports whether a kernel over n slots should stripe across

@@ -8,7 +8,6 @@ import (
 
 	"braidio/internal/energy"
 	"braidio/internal/frame"
-	"braidio/internal/linkcache"
 	"braidio/internal/obs"
 	"braidio/internal/phy"
 	"braidio/internal/units"
@@ -52,31 +51,20 @@ type Braid struct {
 	// trades precision for fewer solver runs.
 	AllocationTolerance float64
 	// DisableAllocationMemo forces a fresh optimizer solve every epoch,
-	// even when the ratio has not moved. The golden tests flip it to
-	// prove memoization changes no bits.
+	// even when the ratio has not moved. The network planner sets it for
+	// interfered and carrier-shared rounds.
 	DisableAllocationMemo bool
-	// DisableLinkCache bypasses the shared linkcache and characterizes
-	// the PHY directly on every run.
-	DisableLinkCache bool
-	// Links, when non-nil, supplies the run's characterized links
-	// directly and skips per-run characterization — the hub's plan
-	// phase batch-characterizes every member up front and presets each
-	// braid with the result. Callers must pass the canonical shared
-	// slices linkcache returns for (Model, Distance): the cross-run
-	// allocation memo compares slice identity to detect moved members,
-	// and a private copy would defeat (or, if mutated in place, corrupt)
-	// that check.
+	// Links, when non-nil, supplies the run's characterized links and
+	// skips per-run characterization; nil characterizes Model at
+	// Distance once per run. The slice is read, never kept: a caller may
+	// rewrite it in place between runs, because the allocation memo
+	// compares its own copy of the links by value.
 	Links []phy.ModeLink
 	// Obs, when non-nil, receives run totals, per-mode occupancy, and
 	// solver metrics. Nil falls back to the process default recorder
 	// (obs.Active); attaching a recorder never changes a run's Result.
 	Obs *obs.Recorder
 }
-
-// DefaultDisableAllocationMemo seeds NewBraid's DisableAllocationMemo
-// field — golden tests and benchmarks flip it to compare memoized and
-// unmemoized runs across code paths that construct braids internally.
-var DefaultDisableAllocationMemo bool
 
 // NewBraid returns a Braid with the defaults used by the evaluation.
 func NewBraid(m *phy.Model, d units.Meter) *Braid {
@@ -94,7 +82,6 @@ func DefaultBraid(m *phy.Model, d units.Meter) Braid {
 		ScheduleWindow:        128,
 		EpochFraction:         0.02,
 		IncludeSwitchOverhead: true,
-		DisableAllocationMemo: DefaultDisableAllocationMemo,
 	}
 }
 
@@ -150,36 +137,69 @@ var ErrLinkDead = errors.New("core: link dead after bounded recovery attempts")
 
 // RunScratch holds the reusable buffers one braid needs across Run
 // calls: the block-schedule count/remainder vectors, the default
-// optimizer's allocation target, and the cross-run allocation memo. A
-// zero RunScratch is ready to use. Reusing one scratch across many
-// RunInto calls (the hub serves each member thousands of rounds) drops
-// the per-call allocation count to zero on the default-optimizer path.
+// optimizer's allocation target, the links of a braid without preset
+// Links, and the cross-run allocation memo. A zero RunScratch is ready
+// to use. Reusing one scratch across many RunInto calls (the network
+// planner serves each member thousands of rounds) drops the per-call
+// allocation count to zero on the default-optimizer path.
 //
 // A RunScratch is not safe for concurrent use and must not be shared
 // between braids with different optimizers: the memo assumes the same
-// allocation function throughout, and it is keyed on (model, distance,
-// battery ratio) only.
+// allocation function throughout, and it is keyed on the links' values
+// and the battery ratio only.
 type RunScratch struct {
 	counts     []int
 	remainders []float64
 	// alloc backs the default optimizer's in-place solves.
 	alloc Allocation
-	// Allocation memo: the last solved fractions (owned copy — the
-	// in-place solver overwrites alloc.P) and the state they were
-	// solved at. Unlike the pre-scratch engine the memo survives across
-	// Run calls, so a hub round can reuse the previous round's solve
-	// when the battery ratio has not drifted past the tolerance.
+	// own holds the run's characterization when Braid.Links is nil.
+	own [phy.NumModes]phy.ModeLink
+	// Allocation memo, every part a value copy: the links the last
+	// solve allocated over, its fractions, and the ratio it was solved
+	// at. The memo survives across Run calls, so a round can reuse the
+	// previous round's solve when its links are unchanged and the
+	// battery ratio has not drifted past the tolerance.
 	memoValid      bool
 	memoRatio      float64
-	memoLinks      []phy.ModeLink
-	memoP          []float64
+	memoLinks      linkSet
+	memoP          [phy.NumModes]float64
 	memoTX, memoRX units.JoulesPerBit
+}
+
+// linkSet is an owned copy of up to phy.NumModes links.
+type linkSet struct {
+	n     int
+	links [phy.NumModes]phy.ModeLink
+}
+
+// set copies links in, reporting false (and keeping nothing) when they
+// do not fit.
+func (l *linkSet) set(links []phy.ModeLink) bool {
+	if len(links) > len(l.links) {
+		return false
+	}
+	l.n = copy(l.links[:], links)
+	return true
+}
+
+// equal reports whether links has exactly the held values.
+func (l *linkSet) equal(links []phy.ModeLink) bool {
+	if len(links) != l.n {
+		return false
+	}
+	for i := range links {
+		if links[i] != l.links[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Reset invalidates the cross-run allocation memo while keeping the
 // scratch buffers for reuse. Engines that recycle scratch across
-// logically independent runs (the hub's sync.Pool) must call it so a
-// run's results never depend on what the recycled scratch last solved.
+// logically independent runs (the network planner's slots, at every
+// Run) must call it so a run's results never depend on what the
+// recycled scratch last solved.
 func (s *RunScratch) Reset() { s.memoValid = false }
 
 // Run drains the two batteries (b1 at the data transmitter, b2 at the
@@ -211,14 +231,9 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 		s = &RunScratch{}
 	}
 	*res = Result{}
-	var links []phy.ModeLink
-	switch {
-	case b.Links != nil:
-		links = b.Links
-	case b.DisableLinkCache:
-		links = b.Model.Characterize(b.Distance)
-	default:
-		links = linkcache.Characterize(b.Model, b.Distance)
+	links := b.Links
+	if links == nil {
+		links = b.Model.CharacterizeInto(s.own[:0], b.Distance)
 	}
 	if len(links) == 0 {
 		return ErrOutOfRange
@@ -226,15 +241,17 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 	// The memo assumes the optimizer's fractions depend on the budgets
 	// only through their ratio — true of Optimize (and OptimizeQoS /
 	// BestSingleMode). Arbitrary custom optimizers get memoized only when
-	// the caller opted into a tolerance.
+	// the caller opted into a tolerance, and only allocations over the
+	// input links themselves (as every library optimizer returns).
 	memoOK := !b.DisableAllocationMemo && (b.Optimizer == nil || b.AllocationTolerance > 0)
-	// A memo carried over from an earlier Run is only meaningful while
-	// the characterized links are literally the same slice (the cached
-	// Characterize result for this model value and distance); a moved
-	// member, a mutated model, or a disabled link cache all produce a
-	// different slice and invalidate it.
-	if s.memoValid && (len(links) != len(s.memoLinks) || &links[0] != &s.memoLinks[0]) {
+	// A memo carried over from an earlier Run holds only while the links
+	// have the values it was solved against: a moved member or a mutated
+	// model changes them and invalidates it.
+	if s.memoValid && (!memoOK || !s.memoLinks.equal(links)) {
 		s.memoValid = false
+	}
+	if !s.memoValid {
+		memoOK = memoOK && s.memoLinks.set(links)
 	}
 
 	payloadBits := float64(8 * b.Model.PayloadLen)
@@ -269,7 +286,8 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 		var p []float64
 		var projBits float64
 		if s.memoValid && RatioWithin(ratio, s.memoRatio, b.AllocationTolerance) {
-			aLinks, p = s.memoLinks, s.memoP
+			aLinks = s.memoLinks.links[:s.memoLinks.n]
+			p = s.memoP[:len(aLinks)]
 			projBits = bitsFor(s.memoTX, s.memoRX, e1, e2)
 			res.AllocReuses++
 		} else {
@@ -295,17 +313,12 @@ func (b *Braid) RunInto(res *Result, s *RunScratch, b1, b2 *energy.Battery) erro
 			}
 			aLinks, p, projBits = alloc.Links, alloc.P, alloc.Bits
 			res.LPSolves++
-			if memoOK && alloc.TX > 0 && alloc.RX > 0 {
-				s.memoValid = true
+			s.memoValid = memoOK && alloc.TX > 0 && alloc.RX > 0 &&
+				len(alloc.Links) == len(links) && &alloc.Links[0] == &links[0]
+			if s.memoValid {
 				s.memoRatio = ratio
-				s.memoLinks = alloc.Links
-				s.memoP = append(s.memoP[:0], alloc.P...)
+				copy(s.memoP[:], alloc.P)
 				s.memoTX, s.memoRX = alloc.TX, alloc.RX
-				if alloc == &s.alloc {
-					// The in-place solver will overwrite alloc.P on the
-					// next solve; schedule this epoch from the owned copy.
-					p = s.memoP
-				}
 			}
 		}
 		if projBits <= 0 || math.IsNaN(projBits) {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"braidio/internal/energy"
 	"braidio/internal/phy"
 	"braidio/internal/units"
 )
@@ -168,19 +169,35 @@ func TestRatioWithin(t *testing.T) {
 	}
 }
 
-// TestBraidLinkCacheBypass: DisableLinkCache must not change results.
-func TestBraidLinkCacheBypass(t *testing.T) {
+// TestRunIntoMemoReadsLinkValues: the cross-run allocation memo keys on
+// the links' values, not their address. Rewriting the caller's link
+// buffer in place with another distance's links between two runs on one
+// scratch must force a re-solve, and the second run must equal a run on
+// a fresh scratch.
+func TestRunIntoMemoReadsLinkValues(t *testing.T) {
 	m := phy.NewModel()
-	cached := NewBraid(m, 0.5)
-	direct := NewBraid(m, 0.5)
-	direct.DisableLinkCache = true
-	rc, err := cached.RunFresh(0.003, 0.001)
-	if err != nil {
+	buf := m.CharacterizeInto(make([]phy.ModeLink, 0, phy.NumModes), 0.4)
+	b := NewBraid(m, 0.4)
+	b.MaxBits = 1e5
+	b.AllocationTolerance = 0.05 // the second run starts inside the memo's tolerance
+	b.Links = buf
+	var s RunScratch
+	var first, second, want Result
+	if err := b.RunInto(&first, &s, energy.NewBattery(0.05), energy.NewBattery(0.8)); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := direct.RunFresh(0.003, 0.001)
-	if err != nil {
+	moved := m.CharacterizeInto(buf[:0], 1.2)
+	if &moved[0] != &buf[0] || len(moved) != len(buf) || reflect.DeepEqual(moved, m.Characterize(0.4)) {
+		t.Fatal("test setup: the rewrite must keep the buffer and its length but change the values")
+	}
+	b.Distance, b.Links = 1.2, moved
+	if err := b.RunInto(&second, &s, energy.NewBattery(0.05), energy.NewBattery(0.8)); err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "link cache on/off", rc, rd)
+	if err := b.RunInto(&want, &RunScratch{}, energy.NewBattery(0.05), energy.NewBattery(0.8)); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(second, want) {
+		t.Errorf("run after an in-place link rewrite reused the stale allocation:\n got %+v\nwant %+v", second, want)
+	}
 }

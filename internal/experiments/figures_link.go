@@ -68,8 +68,8 @@ func Fig12() (*Report, error) {
 	}
 	m := phy.NewModel()
 	// The two receivers' curves are independent sweeps over the same
-	// distance grid — one pool cell each (the model and its link cache
-	// are safe for concurrent readers).
+	// distance grid — one pool cell each (the model is safe for
+	// concurrent readers).
 	curves := make([]stats.Series, 2)
 	par.For(0, 2, func(c int) {
 		for d := 0.2; d <= 4.0; d += 0.05 {

@@ -3,9 +3,9 @@
 // population-level questions need — "across a building of N phones each
 // serving M wearables, what fraction of hubs survive the day?" — and
 // the unit the engine's performance work targets: shards are
-// embarrassingly parallel, each shard's hub runs one network it built
-// for its roster, and the sharded link cache keeps concurrent planners
-// from serializing on one lock.
+// embarrassingly parallel: each shard's hub runs one network it built
+// for its roster and owns every link set it plans against, so
+// concurrent shards share no mutable state.
 //
 // Determinism: shard i draws every randomized parameter from
 // rng.Substreams(Seed, Shards)[i], whose layout depends only on (Seed,
@@ -109,7 +109,7 @@ func (f *FleetResult) Quarantines() int {
 }
 
 // Solves returns the fleet-wide LP solve and allocation-reuse totals —
-// the cache-effectiveness counters the perf work tracks.
+// the allocation-memo counters the perf work tracks.
 func (f *FleetResult) Solves() (lpSolves, allocReuses int) {
 	for _, r := range f.Shards {
 		if r != nil {

@@ -209,8 +209,8 @@ func TestRunFleetConvenience(t *testing.T) {
 }
 
 // TestFleetRaceSmoke exists for -race runs: many shards over many
-// workers, stateful walks included, exercising the sharded link cache
-// and the scratch pool concurrently.
+// workers, stateful walks included, each shard planning against its
+// own link sets concurrently.
 func TestFleetRaceSmoke(t *testing.T) {
 	f := &Fleet{Shards: 12, Workers: 8, Seed: 5, Build: testBuilder(t, 3)}
 	res, err := f.Run(900, 4)

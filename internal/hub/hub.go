@@ -32,7 +32,6 @@ import (
 	"braidio/internal/energy"
 	"braidio/internal/faults"
 	"braidio/internal/field"
-	"braidio/internal/linkcache"
 	"braidio/internal/net"
 	"braidio/internal/obs"
 	"braidio/internal/phy"
@@ -96,7 +95,6 @@ type Hub struct {
 
 	device  energy.Device
 	model   *phy.Model
-	view    *linkcache.View
 	members []Member
 	// net is the one-hub network Run executes, built for the current
 	// roster and cfg; Add drops it, and a changed cfg rebuilds it.
@@ -114,7 +112,7 @@ func New(device energy.Device, m *phy.Model) *Hub {
 	if m == nil {
 		m = phy.NewModel()
 	}
-	return &Hub{device: device, model: m, view: linkcache.NewView(m)}
+	return &Hub{device: device, model: m}
 }
 
 // Add registers a member. It returns an error if no link mode reaches
@@ -123,7 +121,7 @@ func (h *Hub) Add(m Member) error {
 	if m.Load <= 0 {
 		return fmt.Errorf("hub: member %s has non-positive load", m.Device.Name)
 	}
-	if len(h.view.Characterize(m.Distance)) == 0 {
+	if len(h.model.Characterize(m.Distance)) == 0 {
 		return fmt.Errorf("hub: member %s at %v m is out of range", m.Device.Name, float64(m.Distance))
 	}
 	h.members = append(h.members, m)

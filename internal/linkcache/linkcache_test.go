@@ -1,7 +1,6 @@
 package linkcache
 
 import (
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -10,207 +9,76 @@ import (
 	"braidio/internal/units"
 )
 
-// resetAll restores a pristine cache between tests (the cache is
-// process-global).
-func resetAll() {
-	Flush()
-	ResetStats()
-	SetEnabled(true)
+// rowLinks reads row k of cols back as the links it projects.
+func rowLinks(cols *phy.LinkColumns, k int) []phy.ModeLink {
+	var out []phy.ModeLink
+	base := k * phy.NumModes
+	for i := 0; i < int(cols.Len[k]); i++ {
+		out = append(out, phy.ModeLink{Mode: cols.Mode[base+i], T: cols.T[base+i], R: cols.R[base+i]})
+	}
+	return out
 }
 
+// directRow projects m.Characterize(d) onto the columns' fields.
+func directRow(m *phy.Model, d units.Meter) []phy.ModeLink {
+	var out []phy.ModeLink
+	for _, l := range m.Characterize(d) {
+		out = append(out, phy.ModeLink{Mode: l.Mode, T: l.T, R: l.R})
+	}
+	return out
+}
+
+// sweep returns n distances from 10 cm outward in 5 cm steps.
+func sweep(n int) []units.Meter {
+	dists := make([]units.Meter, n)
+	for i := range dists {
+		dists[i] = units.Meter(0.1 + 0.05*float64(i))
+	}
+	return dists
+}
+
+// TestCharacterizeMatchesDirect: every row CharacterizeColumns fills
+// equals the direct characterization at its distance, sequentially and
+// striped over the pool (the batch is past the parallel threshold).
 func TestCharacterizeMatchesDirect(t *testing.T) {
-	resetAll()
 	m := phy.NewModel()
-	for _, d := range []units.Meter{0.1, 0.5, 3, 10} {
-		direct := m.Characterize(d)
-		cached := Characterize(m, d)
-		if !reflect.DeepEqual(direct, cached) {
-			t.Errorf("d=%v: cached links differ from direct characterization", float64(d))
+	v := NewView(m)
+	dists := sweep(2 * batchParThreshold)
+	for _, workers := range []int{1, 4} {
+		var cols phy.LinkColumns
+		v.CharacterizeColumns(workers, dists, &cols)
+		if cols.N != len(dists) {
+			t.Fatalf("workers=%d: %d rows, want %d", workers, cols.N, len(dists))
 		}
-		again := Characterize(m, d)
-		if !reflect.DeepEqual(direct, again) {
-			t.Errorf("d=%v: second lookup differs", float64(d))
-		}
-	}
-	s := Snapshot()
-	if s.Misses != 4 || s.Hits != 4 {
-		t.Errorf("stats = %d hits / %d misses, want 4/4", s.Hits, s.Misses)
-	}
-}
-
-// TestModelValueKeying: mutating a model keys a different entry, so the
-// cache can never serve stale links.
-func TestModelValueKeying(t *testing.T) {
-	resetAll()
-	m := phy.NewModel()
-	plain := Characterize(m, 0.5)
-	m.FadeMargin = 20
-	faded := Characterize(m, 0.5)
-	if reflect.DeepEqual(plain, faded) {
-		t.Fatal("fade-margin model served the free-space entry")
-	}
-	if !reflect.DeepEqual(faded, m.Characterize(0.5)) {
-		t.Fatal("faded entry differs from direct characterization")
-	}
-}
-
-func TestSNRAndBERMatchDirect(t *testing.T) {
-	resetAll()
-	m := phy.NewModel()
-	for _, mode := range phy.Modes {
-		for _, r := range phy.Rates {
-			for _, d := range []units.Meter{0.2, 1.5} {
-				if got, want := SNR(m, mode, r, d), m.SNR(mode, r, d); got != want {
-					t.Errorf("SNR(%v,%v,%v) = %v, want %v", mode, r, float64(d), got, want)
-				}
-				if got, want := BER(m, mode, r, d), m.BER(mode, r, d); got != want {
-					t.Errorf("BER(%v,%v,%v) = %v, want %v", mode, r, float64(d), got, want)
-				}
-				// Second lookups must serve the memo with identical bits.
-				if got, want := SNR(m, mode, r, d), m.SNR(mode, r, d); got != want {
-					t.Errorf("memoized SNR differs: %v vs %v", got, want)
-				}
+		for k, d := range dists {
+			if got, want := rowLinks(&cols, k), directRow(m, d); !reflect.DeepEqual(got, want) {
+				t.Errorf("workers=%d d=%v: row %v, direct %v", workers, float64(d), got, want)
 			}
 		}
 	}
 }
 
-func TestDisabledBypassesCache(t *testing.T) {
-	resetAll()
-	SetEnabled(false)
-	defer SetEnabled(true)
-	m := phy.NewModel()
-	if !reflect.DeepEqual(Characterize(m, 0.5), m.Characterize(0.5)) {
-		t.Fatal("disabled cache returned wrong links")
-	}
-	if s := Snapshot(); s.Hits != 0 || s.Misses != 0 || s.Entries != 0 {
-		t.Errorf("disabled cache touched state: %+v", s)
-	}
-	if Enabled() {
-		t.Error("Enabled() = true after SetEnabled(false)")
-	}
-}
-
-// TestEvictionBounded: the tables flush rather than grow without bound
-// under continuous-mobility key churn.
-func TestEvictionBounded(t *testing.T) {
-	resetAll()
-	m := phy.NewModel()
-	for i := 0; i < maxEntries+100; i++ {
-		Characterize(m, units.Meter(0.1+float64(i)*1e-4))
-	}
-	if s := Snapshot(); s.Entries > maxEntries {
-		t.Errorf("%d resident entries, cap is %d", s.Entries, maxEntries)
-	}
-}
-
-// TestChurnKeepsHitRate is the eviction-stampede regression test: a
-// cyclic mobility scan over a working set slightly larger than the
-// cache's capacity. The old clear-all eviction flushed the whole table
-// every time an insert crossed maxEntries, so a repeated scan re-missed
-// essentially every key (MRU pathology: ~0% hits after the first
-// cycle). Per-shard random-victim eviction keeps most of the working
-// set resident, so later cycles must see a healthy hit rate.
-func TestChurnKeepsHitRate(t *testing.T) {
-	resetAll()
-	m := phy.NewModel()
-	keys := maxEntries + maxEntries/4 // 25% overflow
-	distance := func(i int) units.Meter { return units.Meter(0.1 + float64(i)*1e-4) }
-	// Cold cycle populates; do not count its misses against the policy.
-	for i := 0; i < keys; i++ {
-		Characterize(m, distance(i))
-	}
-	ResetStats()
-	for cycle := 0; cycle < 3; cycle++ {
-		for i := 0; i < keys; i++ {
-			Characterize(m, distance(i))
-		}
-	}
-	s := Snapshot()
-	rate := float64(s.Hits) / float64(s.Hits+s.Misses)
-	t.Logf("hit rate %.3f over %d churn lookups (%d shards)", rate, s.Hits+s.Misses, s.Shards)
-	if rate < 0.3 {
-		t.Errorf("hit rate %.3f under 25%%-overflow churn; clear-all eviction regressed (want > 0.3)", rate)
-	}
-	if s.Entries > maxEntries {
-		t.Errorf("%d resident entries, cap is %d", s.Entries, maxEntries)
-	}
-}
-
-// TestConcurrentChurnKeepsHitRate runs the overflow scan from many
-// goroutines at once — the "concurrent writers clear() each other's
-// fresh entries" stampede. Under -race this is also the sharded write
-// path's race test.
-func TestConcurrentChurnKeepsHitRate(t *testing.T) {
-	resetAll()
-	m := phy.NewModel()
-	keys := maxEntries + maxEntries/4
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for cycle := 0; cycle < 2; cycle++ {
-				for i := g; i < keys; i += 8 {
-					Characterize(m, units.Meter(0.1+float64(i)*1e-4))
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	ResetStats()
-	for i := 0; i < keys; i++ {
-		Characterize(m, units.Meter(0.1+float64(i)*1e-4))
-	}
-	s := Snapshot()
-	rate := float64(s.Hits) / float64(s.Hits+s.Misses)
-	if rate <= 0 {
-		t.Errorf("hit rate %.3f after concurrent churn, want > 0", rate)
-	}
-}
-
-// TestShardSpread: the key hash must actually stripe a mobility sweep
-// across shards, not pile everything onto a few locks.
-func TestShardSpread(t *testing.T) {
-	resetAll()
-	m := phy.NewModel()
-	for i := 0; i < 1024; i++ {
-		Characterize(m, units.Meter(0.1+float64(i)*1e-3))
-	}
-	occupied := 0
-	for i := range shards {
-		shards[i].mu.RLock()
-		if len(shards[i].links) > 0 {
-			occupied++
-		}
-		shards[i].mu.RUnlock()
-	}
-	if occupied < shardCount/2 {
-		t.Errorf("1024 distinct distances landed on only %d/%d shards", occupied, shardCount)
-	}
-}
-
-// TestConcurrentAccess hammers all three memo tables from many
-// goroutines; run under -race this is the cache's data-race test.
+// TestConcurrentAccess: one View shared by goroutines filling their own
+// columns; run under -race this is the view's data-race test.
 func TestConcurrentAccess(t *testing.T) {
-	resetAll()
 	m := phy.NewModel()
-	want := m.Characterize(0.5)
+	v := NewView(m)
+	dists := sweep(batchParThreshold)
+	var want phy.LinkColumns
+	v.CharacterizeColumns(1, dists, &want)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				d := units.Meter(0.1 + float64((g+i)%7)*0.3)
-				Characterize(m, d)
-				SNR(m, phy.ModePassive, units.Rate100k, d)
-				BER(m, phy.ModeBackscatter, units.Rate10k, d)
+			var cols phy.LinkColumns
+			for i := 0; i < 20; i++ {
+				v.CharacterizeColumns(2, dists, &cols)
 			}
-			if got := Characterize(m, 0.5); !reflect.DeepEqual(got, want) {
-				panic(fmt.Sprintf("goroutine %d saw wrong links", g))
+			if !reflect.DeepEqual(cols, want) {
+				t.Errorf("goroutine %d filled different columns", g)
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 }

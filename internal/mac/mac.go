@@ -31,7 +31,6 @@ import (
 	"braidio/internal/energy"
 	"braidio/internal/faults"
 	"braidio/internal/frame"
-	"braidio/internal/linkcache"
 	"braidio/internal/modem"
 	"braidio/internal/obs"
 	"braidio/internal/phy"
@@ -55,7 +54,9 @@ type Walk interface {
 
 // Config parameterizes a Session.
 type Config struct {
-	// Model is the calibrated PHY.
+	// Model is the calibrated PHY. A session reads it for its whole
+	// life and memoizes channel values per distance, so it must not be
+	// mutated while the session is alive.
 	Model *phy.Model
 	// Distance is the initial separation.
 	Distance units.Meter
@@ -186,6 +187,7 @@ type Session struct {
 	current      phy.Mode
 	snrEWMA      map[phy.Mode]float64
 	dist         units.Meter
+	ch           channel // true-channel values stamped with their distance
 	frames       int
 	nextSeq      uint16
 	stats        Stats
@@ -348,14 +350,56 @@ func refRate(m phy.Mode) units.BitRate {
 	return units.Rate10k
 }
 
+// channel is the true channel at one distance: per-mode SNR at the
+// reference rate and per-(mode, rate) BER, each filled on first use and
+// all dropped when the session's distance moves away from dist.
+type channel struct {
+	dist  units.Meter
+	snr   [phy.NumModes]units.DB
+	ber   [phy.NumModes][len(phy.Rates)]float64
+	snrOK [phy.NumModes]bool
+	berOK [phy.NumModes][len(phy.Rates)]bool
+}
+
+// at returns the session's channel memo, emptied if the distance moved.
+func (s *Session) at() *channel {
+	if s.ch.dist != s.dist {
+		s.ch = channel{dist: s.dist}
+	}
+	return &s.ch
+}
+
+// trueSNR returns the channel's SNR for mode m at its reference rate.
+func (s *Session) trueSNR(m phy.Mode) units.DB {
+	c := s.at()
+	if !c.snrOK[m] {
+		c.snr[m], c.snrOK[m] = s.cfg.Model.SNR(m, refRate(m), s.dist), true
+	}
+	return c.snr[m]
+}
+
+// trueBER returns the channel's bit error rate for mode m at rate r.
+func (s *Session) trueBER(m phy.Mode, r units.BitRate) float64 {
+	for k, rate := range phy.Rates {
+		if rate != r {
+			continue
+		}
+		c := s.at()
+		if !c.berOK[m][k] {
+			c.ber[m][k], c.berOK[m][k] = s.cfg.Model.BER(m, r, s.dist), true
+		}
+		return c.ber[m][k]
+	}
+	return s.cfg.Model.BER(m, r, s.dist)
+}
+
 // measureSNR returns a noisy per-frame SNR observation for a mode at its
 // reference rate. The true channel provides the mean (memoized per
 // distance — this runs once per frame); the session only ever acts on
 // the noisy estimate.
 func (s *Session) measureSNR(m phy.Mode) (units.DB, units.BitRate) {
-	r := refRate(m)
-	snr := float64(linkcache.SNR(s.cfg.Model, m, r, s.dist))
-	return units.DB(snr + s.rng.Norm()*s.cfg.SNRNoise), r
+	snr := float64(s.trueSNR(m))
+	return units.DB(snr + s.rng.Norm()*s.cfg.SNRNoise), refRate(m)
 }
 
 // estimatedSNRAt converts the reference-rate estimate to the SNR the
@@ -624,7 +668,7 @@ func (s *Session) SendFrame(payloadLen int) (bool, error) {
 	}
 	s.switchTo(mode, rate)
 
-	ber := linkcache.BER(s.cfg.Model, mode, rate, s.dist)
+	ber := s.trueBER(mode, rate)
 	fer := frame.FrameErrorRate(ber, payloadLen)
 	wire := float64(frame.WireBits(payloadLen))
 

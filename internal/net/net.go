@@ -92,7 +92,6 @@ import (
 	"braidio/internal/energy"
 	"braidio/internal/faults"
 	"braidio/internal/field"
-	"braidio/internal/linkcache"
 	"braidio/internal/obs"
 	"braidio/internal/phy"
 	"braidio/internal/sim"
@@ -321,30 +320,27 @@ type relayPlan struct {
 }
 
 // slot is one (hub, member) pair's scratch: its persistent braid,
-// plan-phase battery copies, private link buffers for interfered /
-// carrier-shared rounds, and the round verdict the commit consumes.
-// Everything here is owned by the slot's index — the plan phase may
-// write it from any worker without synchronization.
+// plan-phase battery copies, its home link set with the stamp it was
+// built from, relay link buffers, and the round verdict the commit
+// consumes. Everything here is owned by the slot's index — the plan
+// phase may write it from any worker without synchronization.
 type slot struct {
 	hub, member int
 	homeDist    units.Meter   // this round's home distance (Walk or Pos)
 	toHub       []units.Meter // clamped Pos distance to every hub
 
-	braid    core.Braid
-	memoBase bool // braid's constructed DisableAllocationMemo
-	scr      core.RunScratch
-	plan     core.Result
-	planB1   energy.Battery
-	planB2   energy.Battery
-	alloc    core.Allocation // direct / relay appraisal target
-	alloc2   core.Allocation // relay hop-2 appraisal target
+	braid  core.Braid
+	scr    core.RunScratch
+	plan   core.Result
+	planB1 energy.Battery
+	planB2 energy.Battery
+	alloc  core.Allocation // direct / relay appraisal target
+	alloc2 core.Allocation // relay hop-2 appraisal target
 
-	// priv backs the slot's interfered or carrier-shared link set. It is
-	// deliberately NOT the canonical linkcache slice, so the braid's
-	// allocation memo is disabled for such rounds (the buffer address is
-	// stable across rounds while its contents change — exactly the
-	// stale-reuse hazard the memo's slice-identity check cannot see).
-	priv      []phy.ModeLink
+	// home is the slot's home link set, rebuilt in phase 0 only when the
+	// values it is built from move away from stamp.
+	home      []phy.ModeLink
+	stamp     linkStamp
 	relayBuf  []phy.ModeLink // hop-1 characterization scratch
 	relayBuf2 []phy.ModeLink // hop-2 characterization scratch
 
@@ -359,11 +355,22 @@ type slot struct {
 	donor                        int
 	shared                       phy.ModeLink
 	sharedOK                     bool
-	links                        []phy.ModeLink
 	op                           Op
 	directTX                     float64
 	directBits                   float64
 	relay                        relayPlan
+}
+
+// linkStamp is what a slot's home link set is a function of: the home
+// distance, the co-channel interference at the home receiver, and the
+// carrier donor with its shared link (donor -1 and a zero link when the
+// slot makes its own carrier).
+type linkStamp struct {
+	built  bool
+	dist   units.Meter
+	mw     float64
+	donor  int
+	shared phy.ModeLink
 }
 
 // Network is a constructed scheduler over a validated topology. Create
@@ -373,7 +380,6 @@ type slot struct {
 type Network struct {
 	cfg     Config
 	model   *phy.Model
-	view    *linkcache.View
 	topo    *Topology
 	hubs    []hubState
 	slots   []slot
@@ -383,12 +389,6 @@ type Network struct {
 	// through hubBatts and memberBatts.
 	full, batts           []energy.Battery
 	hubBatts, memberBatts []*energy.Battery
-	// dists, idx and links are phase 0's batched characterization of
-	// the canonical (interference-free) slots: their distances, their
-	// slot indices, and the shared link slices the view fills.
-	dists []units.Meter
-	idx   []int
-	links [][]phy.ModeLink
 	// hubDist[a][b] is the clamped hub-to-hub trunk distance; intMW[a][b]
 	// is the co-channel carrier power (linear mW, fade-derated) hub a's
 	// emission lands at hub b's receiver — precomputed once, geometry is
@@ -414,7 +414,6 @@ func New(t *Topology, cfg Config) (*Network, error) {
 	n := &Network{
 		cfg:          cfg,
 		model:        cfg.Model,
-		view:         linkcache.NewView(cfg.Model),
 		topo:         t,
 		strikeLimit:  cfg.QuarantineStrikes,
 		carrierRange: cfg.CarrierShareRange,
@@ -433,6 +432,7 @@ func New(t *Topology, cfg Config) (*Network, error) {
 	n.hubs = make([]hubState, nh)
 	n.slots = make([]slot, 0, slots)
 	toHub := make([]units.Meter, slots*nh)
+	home := make([]phy.ModeLink, slots*phy.NumModes)
 	n.hubDist = make([][]units.Meter, nh)
 	n.intMW = make([][]float64, nh)
 	for a := 0; a < nh; a++ {
@@ -459,6 +459,7 @@ func New(t *Topology, cfg Config) (*Network, error) {
 				member:   j,
 				homeDist: clampDist(m.Pos.Dist(hub.Pos)),
 				toHub:    toHub[lo*nh : (lo+1)*nh : (lo+1)*nh],
+				home:     home[lo*phy.NumModes : lo*phy.NumModes : (lo+1)*phy.NumModes],
 				donor:    -1,
 			}
 			for v := 0; v < nh; v++ {
@@ -473,7 +474,6 @@ func New(t *Topology, cfg Config) (*Network, error) {
 					return core.OptimizeQoS(links, e1, e2, minRate)
 				}
 			}
-			s.memoBase = s.braid.DisableAllocationMemo
 			n.slots = append(n.slots, s)
 			lo++
 		}
@@ -494,9 +494,6 @@ func New(t *Topology, cfg Config) (*Network, error) {
 		s := &n.slots[i]
 		n.full[nh+i] = *t.Hubs[s.hub].Members[s.member].Device.NewBattery()
 	}
-	n.dists = make([]units.Meter, len(n.slots))
-	n.idx = make([]int, len(n.slots))
-	n.links = make([][]phy.ModeLink, len(n.slots))
 	return n, nil
 }
 

@@ -140,12 +140,10 @@ func (n *Network) PlanRound(slice units.Second) (*RoundPlan, error) {
 // energy snapshots, walks and faults, member eligibility, the emission
 // census, donor selection, per-receiver interference aggregation, and
 // link construction. Each walk and injector is advanced exactly once
-// per round, and only for a member its hub could serve. Slots on the
-// isolated path (no interference, no donor) get their canonical
-// linkcache slices via one batched characterization, so their braids'
-// allocation memos keep their slice-identity semantics. Interfered or
-// carrier-shared slots get a private link build with the braid's
-// allocation memo disabled for the round (see slot.priv).
+// per round, and only for a member its hub could serve. A slot's home
+// links are rebuilt only when their stamp (distance, interference,
+// donor and shared link) moved. Interfered or carrier-shared rounds run
+// their braid with the allocation memo disabled.
 func (n *Network) phase0(res *Result, now units.Second) {
 	for h := range n.hubs {
 		hs := &n.hubs[h]
@@ -166,8 +164,6 @@ func (n *Network) phase0(res *Result, now units.Second) {
 		s.donor = -1
 		s.sharedOK = false
 		s.op = OpSkip
-		s.links = nil
-		s.braid.Links = nil
 		s.relay = relayPlan{via: -1}
 		s.directTX = math.Inf(1)
 		s.directBits = 0
@@ -193,8 +189,7 @@ func (n *Network) phase0(res *Result, now units.Second) {
 		s.active = true
 		n.hubs[s.hub].emitting = true
 	}
-	// Pass B: donors, interference, and the canonical/private split.
-	nb := 0
+	// Pass B: donors, interference, and the home links.
 	for i := range n.slots {
 		s := &n.slots[i]
 		if !s.active {
@@ -205,36 +200,38 @@ func (n *Network) phase0(res *Result, now units.Second) {
 			s.mw = n.interferenceAt(s.hub, -1)
 		}
 		s.private = s.mw > 0 || s.sharedOK
-		if !s.private {
-			n.dists[nb] = s.homeDist
-			n.idx[nb] = i
-			nb++
-		}
+		n.homeLinks(s)
 	}
-	n.view.CharacterizeBatch(n.cfg.Workers, n.dists[:nb], n.links[:nb])
-	for r := 0; r < nb; r++ {
-		n.slots[n.idx[r]].links = n.links[r]
+}
+
+// homeLinks rebuilds the slot's home link set when its stamp moved.
+func (n *Network) homeLinks(s *slot) {
+	st := linkStamp{built: true, dist: s.homeDist, mw: s.mw, donor: s.donor}
+	if s.sharedOK {
+		st.shared = s.shared
 	}
-	for i := range n.slots {
-		s := &n.slots[i]
-		if !s.active || !s.private {
-			continue
-		}
-		mi := *n.model
-		mi.Interference = n.model.Interference + s.mw
-		s.priv = mi.CharacterizeInto(s.priv, s.homeDist)
+	if s.stamp != st {
+		s.stamp = st
+		s.home = n.characterize(s.home, s.homeDist, s.mw)
 		if s.sharedOK {
 			// Replace the monostatic backscatter entry (canonical mode
 			// order puts it last) with the donor-carrier bistatic link;
 			// if the monostatic round trip did not close, append.
-			if k := len(s.priv); k > 0 && s.priv[k-1].Mode == phy.ModeBackscatter {
-				s.priv[k-1] = s.shared
+			if k := len(s.home); k > 0 && s.home[k-1].Mode == phy.ModeBackscatter {
+				s.home[k-1] = s.shared
 			} else {
-				s.priv = append(s.priv, s.shared)
+				s.home = append(s.home, s.shared)
 			}
 		}
-		s.links = s.priv
 	}
+}
+
+// characterize refills buf with the model's links at distance d under
+// mw of added co-channel interference.
+func (n *Network) characterize(buf []phy.ModeLink, d units.Meter, mw float64) []phy.ModeLink {
+	mi := *n.model
+	mi.Interference = n.model.Interference + mw
+	return mi.CharacterizeInto(buf, d)
 }
 
 // pickDonor selects the slot's carrier donor: the nearest emitting
@@ -293,12 +290,12 @@ func (n *Network) planSlot(i int, slice units.Second, execute bool) {
 	e1, e2 := n.memberBatts[i].Remaining(), hs.snap.Remaining()
 	relay := !n.cfg.DisableRelay && !(m.MinRate > 0) && m.Faults == nil
 	if relay || !execute {
-		if len(s.links) > 0 {
+		if len(s.home) > 0 {
 			a, err := &s.alloc, error(nil)
 			if m.MinRate > 0 {
-				a, err = core.OptimizeQoS(s.links, e1, e2, m.MinRate)
+				a, err = core.OptimizeQoS(s.home, e1, e2, m.MinRate)
 			} else {
-				err = core.OptimizeInto(a, s.links, e1, e2)
+				err = core.OptimizeInto(a, s.home, e1, e2)
 			}
 			if err == nil {
 				s.directTX = float64(a.TX)
@@ -320,35 +317,22 @@ func (n *Network) planSlot(i int, slice units.Second, execute bool) {
 	}
 	s.braid.Distance = s.homeDist
 	s.braid.MaxBits = load
-	s.braid.DisableAllocationMemo = s.memoBase || s.private
+	s.braid.DisableAllocationMemo = s.private
+	s.braid.Links = s.home
 	s.planB1 = *n.memberBatts[i]
 	s.planB2 = hs.snap
-	if len(s.links) == 0 {
-		// An empty canonical slice would make the braid re-characterize
-		// internally; on the private path that would silently drop the
-		// interference. Fail the round with the braid's own verdict.
-		s.err = core.ErrOutOfRange
-		return
-	}
-	s.braid.Links = s.links
 	s.err = s.braid.RunInto(&s.plan, &s.scr, &s.planB1, &s.planB2)
 }
 
 // relayLinks characterizes one relay hop terminating at hub rx over
-// distance d, excluding the hop's own transmitter from the interference
-// aggregate. The zero-interference path returns the canonical cached
-// slice; otherwise the hop is characterized into the slot-owned buffer.
+// distance d into the slot-owned buffer, excluding the hop's own
+// transmitter from the interference aggregate.
 func (n *Network) relayLinks(buf *[]phy.ModeLink, d units.Meter, rx, exclude int) []phy.ModeLink {
 	mw := 0.0
 	if !n.cfg.DisableInterference {
 		mw = n.interferenceAt(rx, exclude)
 	}
-	if mw == 0 {
-		return n.view.Characterize(d)
-	}
-	mi := *n.model
-	mi.Interference = n.model.Interference + mw
-	*buf = mi.CharacterizeInto(*buf, d)
+	*buf = n.characterize(*buf, d, mw)
 	return *buf
 }
 

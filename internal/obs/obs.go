@@ -1,6 +1,6 @@
 // Package obs is Braidio's zero-allocation observability layer: the
 // metrics and tracing substrate the scheduling engines (internal/core,
-// internal/mac, internal/hub) and the PHY link cache report into.
+// internal/mac, internal/net, internal/serve) report into.
 //
 // The paper's core claim is an *energy split*: Eq. (1) chooses mode
 // fractions so the two endpoints consume in proportion to their battery
@@ -54,8 +54,7 @@ const NumModes = len(phy.Modes)
 
 // Counter is a monotonically increasing event counter: an atomic
 // uint64 padded to a cache line so neighbouring counters updated by
-// concurrent planners never share a line (the same discipline as the
-// link cache's shard counters).
+// concurrent planners never share a line.
 type Counter struct {
 	v atomic.Uint64
 	_ [56]byte
@@ -182,10 +181,10 @@ var lpLatencyBounds = []float64{
 	250, 500, 1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6, 1e7, 1e8,
 }
 
-// applyLatencyBounds buckets serve epoch apply-phase wall-clock latency
-// in nanoseconds. Applies span drained-queue sizes from a handful of
-// drift updates to million-member registration waves, so the range
-// extends to seconds.
+// applyLatencyBounds buckets serve epoch apply- and plan-phase
+// wall-clock latency in nanoseconds. Both span drained-queue sizes from
+// a handful of drift updates to million-member registration waves, so
+// the range extends to seconds.
 var applyLatencyBounds = []float64{
 	1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6, 1e7, 1e8, 1e9,
 }
@@ -331,6 +330,12 @@ type Recorder struct {
 	// latency (queue drain through per-shard op apply) in nanoseconds.
 	// Wall-clock, so excluded from Canonical snapshots.
 	ServeApplyLatency Histogram
+	// ServePlanLatency distributes serve epoch plan-phase wall-clock
+	// latency (characterize, solve and plan build over every dirty
+	// member, slowest shard) in nanoseconds — one observation per epoch
+	// that planned, not per solve. Wall-clock, so excluded from
+	// Canonical snapshots.
+	ServePlanLatency Histogram
 
 	// Tracer, when non-nil, receives mode-switch/fallback/replan/
 	// quarantine/hub-death events from sequential engine contexts. Nil
@@ -351,6 +356,7 @@ func NewRecorder() *Recorder {
 	r.EnergyPerBit.init(energyPerBitBounds, 1e12)
 	r.LPSolveLatency.init(lpLatencyBounds, 1)
 	r.ServeApplyLatency.init(applyLatencyBounds, 1)
+	r.ServePlanLatency.init(applyLatencyBounds, 1)
 	for i := range r.ModeBits {
 		r.ModeBits[i].scale = bitScale
 		r.ModeTime[i].scale = timeScale

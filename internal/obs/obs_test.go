@@ -176,16 +176,19 @@ func TestCanonicalZeroesNondeterministicSections(t *testing.T) {
 	r := NewRecorder()
 	r.Tracer = NewTracer(8)
 	r.LPSolveLatency.Observe(1234)
+	r.ServeApplyLatency.Observe(2e6)
+	r.ServePlanLatency.Observe(3e8)
 	r.Trace(Event{Kind: EvReplan})
 	s := r.Snapshot().Canonical()
-	if s.LPSolveLatency.Counts != nil || s.LPSolveLatency.Sum != 0 {
-		t.Fatal("Canonical must drop latency buckets and sum")
-	}
-	if s.LPSolveLatency.Count != 1 {
-		t.Fatalf("Canonical must keep the latency observation count, got %d", s.LPSolveLatency.Count)
-	}
-	if s.Cache != (CacheSnapshot{}) {
-		t.Fatal("Canonical must zero the cache section")
+	for name, h := range map[string]HistogramSnapshot{
+		"LPSolveLatency": s.LPSolveLatency, "ServeApplyLatency": s.ServeApplyLatency, "ServePlanLatency": s.ServePlanLatency,
+	} {
+		if h.Bounds != nil || h.Counts != nil || h.Sum != 0 {
+			t.Fatalf("Canonical must drop %s buckets and sum", name)
+		}
+		if h.Count != 1 {
+			t.Fatalf("Canonical must keep the %s observation count, got %d", name, h.Count)
+		}
 	}
 	if s.TraceTotal != 0 || s.TraceRetained != 0 {
 		t.Fatal("Canonical must zero tracer stats")

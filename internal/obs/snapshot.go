@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"braidio/internal/ascii"
-	"braidio/internal/linkcache"
 	"braidio/internal/phy"
 )
 
@@ -40,23 +39,8 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// CacheSnapshot is the process-global PHY link cache's counters at
-// snapshot time. Hit/miss splits depend on concurrent planner timing
-// (two planners can both miss a cold key), so this section is zeroed by
-// Canonical.
-type CacheSnapshot struct {
-	// Hits and Misses count lookups served from / added to the memo.
-	Hits, Misses uint64
-	// Evictions counts resident entries dropped by full shards.
-	Evictions uint64
-	// Entries is the current resident entry count.
-	Entries int
-	// Shards is the number of lock stripes.
-	Shards int
-}
-
 // Snapshot is a Recorder's frozen state: every counter, the dequantized
-// float series, both histograms, and the link cache's process counters.
+// float series, and the histograms.
 // Snapshots are plain data — compare them, serialize them, diff them.
 type Snapshot struct {
 	// BraidRuns..HubDeaths mirror the Recorder counters; see Recorder
@@ -81,21 +65,19 @@ type Snapshot struct {
 	// indexed by phy.Mode.
 	ModeBits, ModeTime [NumModes]float64
 
-	// EnergyPerBit, LPSolveLatency, and ServeApplyLatency are the frozen
-	// histograms.
-	EnergyPerBit, LPSolveLatency, ServeApplyLatency HistogramSnapshot
-	// Cache is the process-global link-cache state.
-	Cache CacheSnapshot
+	// EnergyPerBit, LPSolveLatency, ServeApplyLatency, and
+	// ServePlanLatency are the frozen histograms.
+	EnergyPerBit, LPSolveLatency, ServeApplyLatency, ServePlanLatency HistogramSnapshot
 	// TraceTotal and TraceRetained describe the attached tracer (zero
 	// when none).
 	TraceTotal    uint64
 	TraceRetained int
 }
 
-// Snapshot freezes the recorder's current state, including the
-// process-global link-cache counters. Safe to call while engines are
-// still recording (each field is read atomically; cross-field skew is
-// possible mid-run, impossible once runs have completed).
+// Snapshot freezes the recorder's current state. Safe to call while
+// engines are still recording (each field is read atomically;
+// cross-field skew is possible mid-run, impossible once runs have
+// completed).
 func (r *Recorder) Snapshot() Snapshot {
 	s := Snapshot{
 		BraidRuns:           r.BraidRuns.Load(),
@@ -146,15 +128,11 @@ func (r *Recorder) Snapshot() Snapshot {
 		EnergyPerBit:        r.EnergyPerBit.snapshot(),
 		LPSolveLatency:      r.LPSolveLatency.snapshot(),
 		ServeApplyLatency:   r.ServeApplyLatency.snapshot(),
+		ServePlanLatency:    r.ServePlanLatency.snapshot(),
 	}
 	for i := range s.ModeBits {
 		s.ModeBits[i] = r.ModeBits[i].Load()
 		s.ModeTime[i] = r.ModeTime[i].Load()
-	}
-	cs := linkcache.Snapshot()
-	s.Cache = CacheSnapshot{
-		Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions,
-		Entries: cs.Entries, Shards: cs.Shards,
 	}
 	if r.Tracer != nil {
 		s.TraceTotal = r.Tracer.Total()
@@ -164,19 +142,14 @@ func (r *Recorder) Snapshot() Snapshot {
 }
 
 // Canonical returns the snapshot with the non-deterministic sections
-// zeroed: wall-clock latency buckets (machine-speed dependent; the
-// observation *count* is kept, since it equals LPSolves) and the
-// process-global cache counters (racing planners can split a miss).
-// Canonical snapshots are bit-identical at any worker count — the
-// determinism contract the golden tests pin.
+// zeroed: wall-clock latency buckets and sums (machine-speed dependent;
+// each observation *count* is kept, since LPSolveLatency's equals
+// LPSolves) and the tracer stats. Canonical snapshots are bit-identical
+// at any worker count — the determinism contract the golden tests pin.
 func (s Snapshot) Canonical() Snapshot {
-	s.LPSolveLatency.Bounds = nil
-	s.LPSolveLatency.Counts = nil
-	s.LPSolveLatency.Sum = 0
-	s.ServeApplyLatency.Bounds = nil
-	s.ServeApplyLatency.Counts = nil
-	s.ServeApplyLatency.Sum = 0
-	s.Cache = CacheSnapshot{}
+	for _, h := range []*HistogramSnapshot{&s.LPSolveLatency, &s.ServeApplyLatency, &s.ServePlanLatency} {
+		h.Bounds, h.Counts, h.Sum = nil, nil, 0
+	}
 	s.TraceTotal, s.TraceRetained = 0, 0
 	return s
 }
@@ -274,8 +247,6 @@ func (s *Snapshot) WriteTable(w io.Writer) error {
 		{"carrier shares", fmt.Sprint(s.CarrierShares)},
 		{"interfered rounds", fmt.Sprint(s.InterferedRounds)},
 		{"relay bits", fmt.Sprintf("%.4g", s.RelayBits)},
-		{"cache hits/misses", fmt.Sprintf("%d/%d", s.Cache.Hits, s.Cache.Misses)},
-		{"cache evictions", fmt.Sprint(s.Cache.Evictions)},
 	}
 	if err := ascii.Table(w, []string{"Counter", "Value"}, rows); err != nil {
 		return err
@@ -378,10 +349,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	counter("braidio_serve_recoveries_total", "Daemon startups recovered from a journal directory.", s.ServeRecoveries)
 	counter("braidio_serve_torn_records_total", "Torn trailing journal records truncated by recovery.", s.ServeTornRecords)
 	counter("braidio_serve_journal_errors_total", "Journal write failures and records dropped while broken.", s.ServeJournalErrors)
-	counter("braidio_linkcache_hits_total", "PHY link cache hits.", s.Cache.Hits)
-	counter("braidio_linkcache_misses_total", "PHY link cache misses.", s.Cache.Misses)
-	counter("braidio_linkcache_evictions_total", "PHY link cache evictions.", s.Cache.Evictions)
-	gauge("braidio_linkcache_entries", "Resident PHY link cache entries.", float64(s.Cache.Entries))
 	gauge("braidio_bits_delivered", "Delivered payload bits.", s.Bits)
 	gauge("braidio_air_time_seconds", "Cumulative on-air time.", s.AirTime)
 	gauge("braidio_drain_tx_joules", "Energy drawn at the data transmitter.", s.DrainTX)
@@ -401,5 +368,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	writeHist(w, "braidio_energy_per_bit_joules", "Per-run delivered energy per bit.", &s.EnergyPerBit)
 	writeHist(w, "braidio_lp_solve_latency_nanoseconds", "Offload solve wall-clock latency.", &s.LPSolveLatency)
 	writeHist(w, "braidio_serve_apply_latency_nanoseconds", "Serve epoch apply-phase wall-clock latency.", &s.ServeApplyLatency)
+	writeHist(w, "braidio_serve_plan_latency_nanoseconds", "Serve epoch plan-phase wall-clock latency.", &s.ServePlanLatency)
 	return nil
 }

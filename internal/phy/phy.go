@@ -144,8 +144,7 @@ type Model struct {
 	// scheduler (internal/net). Zero (the default) is the isolated-pair
 	// setting and leaves every SNR bit-identical to the
 	// interference-free model (rf.SINR gates on it rather than
-	// recomputing). Kept as a plain float so Model stays comparable —
-	// the process-global link cache keys on the Model value.
+	// recomputing).
 	Interference float64
 }
 
@@ -175,11 +174,22 @@ func (m *Model) ReceivedPower(mode Mode, d units.Meter) units.DBm {
 	return rx.Sub(m.FadeMargin)
 }
 
-// snrTargetDB returns the SNR (dB) a scheme needs to hit RangeBERTarget;
-// the effective noise floor of a mode/rate sits that far below its
-// sensitivity.
+// snrTargets is the SNR (dB) each scheme SchemeAt can return needs to
+// hit RangeBERTarget. Its inputs are constants, so it is computed once
+// rather than per characterization: the coherent inversion is a
+// 200-step bisection.
+var snrTargets = func() (t [modem.PSKCoherent + 1]units.DB) {
+	for s := range t {
+		t[s] = units.DBFromRatio(modem.SNRForBER(modem.Scheme(s), RangeBERTarget))
+	}
+	return t
+}()
+
+// snrTargetDB returns the SNR (dB) a mode/rate's scheme needs to hit
+// RangeBERTarget; the effective noise floor of a mode/rate sits that far
+// below its sensitivity.
 func snrTargetDB(mode Mode, r units.BitRate) units.DB {
-	return units.DBFromRatio(modem.SNRForBER(SchemeAt(mode, r), RangeBERTarget))
+	return snrTargets[SchemeAt(mode, r)]
 }
 
 // SNR returns the effective per-bit SINR (dB) for a mode/rate at distance
@@ -327,7 +337,7 @@ func (m *Model) costs(mode Mode, r units.BitRate, ber float64) (tx, rx units.Jou
 // rates and per-bit costs, in canonical mode order. Unavailable modes are
 // omitted.
 func (m *Model) Characterize(d units.Meter) []ModeLink {
-	return m.CharacterizeInto(nil, d)
+	return m.CharacterizeInto(make([]ModeLink, 0, NumModes), d)
 }
 
 // CharacterizeInto is Characterize appending into caller-owned storage:

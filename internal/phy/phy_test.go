@@ -396,3 +396,16 @@ func TestSchemeAt(t *testing.T) {
 		t.Errorf("FSK backscatter BER at range = %v, want 0.01", ber)
 	}
 }
+
+// TestSNRTargetTable: the precomputed SNR targets equal the inversion
+// they replace, for every mode and rate the model characterizes.
+func TestSNRTargetTable(t *testing.T) {
+	for _, mode := range Modes {
+		for _, r := range Rates {
+			want := units.DBFromRatio(modem.SNRForBER(SchemeAt(mode, r), RangeBERTarget))
+			if got := snrTargetDB(mode, r); got != want {
+				t.Errorf("%v at %v: table %v, inversion %v", mode, r, got, want)
+			}
+		}
+	}
+}

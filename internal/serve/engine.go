@@ -33,7 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"braidio/internal/linkcache"
 	"braidio/internal/obs"
 	"braidio/internal/par"
 	"braidio/internal/phy"
@@ -195,7 +194,6 @@ type EpochResult struct {
 type Engine struct {
 	cfg   Config
 	model *phy.Model
-	view  *linkcache.View
 
 	queueMu  sync.Mutex
 	queue    []op
@@ -243,7 +241,6 @@ func NewEngine(cfg Config) *Engine {
 	e := &Engine{
 		cfg:       cfg,
 		model:     m,
-		view:      linkcache.NewView(m),
 		queue:     make([]op, 0, cfg.QueueCap),
 		hubEnergy: cfg.HubEnergy,
 		shards:    make([]*shard, cfg.Shards),
@@ -608,7 +605,7 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 	}
 	if jobsTotal > 0 {
 		if e.cfg.Rec != nil {
-			e.cfg.Rec.LPSolveLatency.Observe(planNs)
+			e.cfg.Rec.ServePlanLatency.Observe(planNs)
 			e.cfg.Rec.BatchRounds.Add(1)
 		}
 		e.latMu.Lock()

@@ -342,3 +342,26 @@ func TestUpdateUnknownMember(t *testing.T) {
 		t.Fatal("ghost member acquired a plan")
 	}
 }
+
+// TestEpochPlanLatencyFiled: an epoch's whole-plan wall time lands in
+// ServePlanLatency, once per planning epoch, and never in the per-solve
+// LPSolveLatency series.
+func TestEpochPlanLatencyFiled(t *testing.T) {
+	rec := obs.NewRecorder()
+	e := NewEngine(testConfig(rec))
+	for i := 0; i < 4; i++ {
+		if err := e.Register(fmt.Sprintf("m%d", i), 1.0, units.Meter(1.0+0.5*float64(i))); err != nil {
+			t.Fatalf("register: %v", err)
+		}
+	}
+	if res := mustEpoch(t, e); res.Planned != 4 {
+		t.Fatalf("planned %d, want 4", res.Planned)
+	}
+	s := rec.Snapshot()
+	if s.LPSolveLatency.Count != 0 {
+		t.Errorf("serve epoch filed %d observations into LPSolveLatency, want 0", s.LPSolveLatency.Count)
+	}
+	if s.ServePlanLatency.Count != 1 {
+		t.Errorf("ServePlanLatency count %d after one planning epoch, want 1", s.ServePlanLatency.Count)
+	}
+}

@@ -102,7 +102,7 @@ func driveSoakE(e *Engine, ops []soakOp, from int) error {
 	return nil
 }
 
-func driveSoak(t *testing.T, e *Engine, ops []soakOp, from int) {
+func driveSoak(t testing.TB, e *Engine, ops []soakOp, from int) {
 	t.Helper()
 	if err := driveSoakE(e, ops, from); err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func soakFinalDigestE(e *Engine) (string, error) {
 	return res.Digest, nil
 }
 
-func soakFinalDigest(t *testing.T, e *Engine) string {
+func soakFinalDigest(t testing.TB, e *Engine) string {
 	t.Helper()
 	d, err := soakFinalDigestE(e)
 	if err != nil {
@@ -137,7 +137,7 @@ func soakFinalDigest(t *testing.T, e *Engine) string {
 
 // soakReference runs the schedule on a journal-less engine and returns
 // the final full-coverage digest plus the total epoch count.
-func soakReference(t *testing.T) (string, uint64) {
+func soakReference(t testing.TB) (string, uint64) {
 	t.Helper()
 	e := NewEngine(testConfig(nil))
 	driveSoak(t, e, soakSchedule(), 0)
@@ -148,7 +148,7 @@ func soakReference(t *testing.T) (string, uint64) {
 // captureSoakDir runs the schedule under a segmented journal and
 // returns the directory. snapshotEvery controls rotation cadence;
 // retain keeps old segments so torn-head recovery has a fallback.
-func captureSoakDir(t *testing.T, snapshotEvery uint64, retain int) string {
+func captureSoakDir(t testing.TB, snapshotEvery uint64, retain int) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "journal.d")
 	eng, j, _, err := Open(dir, testConfig(nil), JournalOptions{SnapshotEvery: snapshotEvery, Retain: retain})

@@ -1,7 +1,6 @@
 // Sharded member state: the engine's membership is striped into a
 // power-of-two number of shards selected by a SplitMix64-mixed hash of
-// the member id (the same recipe as internal/linkcache's 32-stripe
-// table). Each shard owns its members' inputs, dirty flags, and
+// the member id. Each shard owns its members' inputs, dirty flags, and
 // committed plans behind its own RWMutex, so admission apply, plan
 // commit, and HTTP plan reads contend only per shard — the global lock
 // that used to serialize a million-member epoch against every
@@ -27,6 +26,7 @@ import (
 	"time"
 
 	"braidio/internal/core"
+	"braidio/internal/linkcache"
 	"braidio/internal/obs"
 	"braidio/internal/par"
 	"braidio/internal/phy"
@@ -65,8 +65,7 @@ type shard struct {
 	planNs      float64
 }
 
-// mix64 is SplitMix64's finalizer — the same cheap high-quality mixer
-// internal/linkcache stripes its lock shards with.
+// mix64 is SplitMix64's finalizer — a cheap, high-quality 64-bit mixer.
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -180,7 +179,7 @@ func (s *shard) runStage(e *Engine, epoch uint64, hubE units.Joule, workers int,
 			s.batch.E1[i] = solveHub
 			s.batch.E2[i] = s.jobs[i].energy
 		}
-		e.view.CharacterizeColumns(workers, s.batch.Dists, &s.batch.Cols)
+		linkcache.NewView(e.model).CharacterizeColumns(workers, s.batch.Dists, &s.batch.Cols)
 		core.OptimizeBatch(&s.batch, workers)
 		if workers != 1 && n >= shardPlanParThreshold {
 			par.For(workers, n, func(i int) { s.buildPlan(e, i, epoch, solveHub) })

@@ -10,7 +10,6 @@ import (
 	"braidio/internal/baseline"
 	"braidio/internal/core"
 	"braidio/internal/energy"
-	"braidio/internal/linkcache"
 	"braidio/internal/phy"
 	"braidio/internal/stats"
 	"braidio/internal/units"
@@ -51,12 +50,19 @@ func RunPair(m *phy.Model, d units.Meter, tx, rx energy.Device) (*PairResult, er
 	if m == nil {
 		return nil, fmt.Errorf("sim: nil model")
 	}
+	return runPair(m, d, m.Characterize(d), tx, rx)
+}
+
+// runPair is RunPair over links already characterized from m at d; the
+// matrices characterize once and share the read-only links across
+// cells.
+func runPair(m *phy.Model, d units.Meter, links []phy.ModeLink, tx, rx energy.Device) (*PairResult, error) {
 	braid := core.NewBraid(m, d)
+	braid.Links = links
 	res, err := braid.RunFresh(tx.Capacity, rx.Capacity)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s→%s at %v m: %w", tx.Name, rx.Name, float64(d), err)
 	}
-	links := linkcache.Characterize(m, d)
 	single, err := core.BestSingleMode(links, tx.Capacity.Joules(), rx.Capacity.Joules())
 	if err != nil {
 		return nil, err
@@ -188,8 +194,9 @@ dispatch:
 // GainMatrixBluetooth builds the Fig. 15 matrix: Braidio vs Bluetooth,
 // unidirectional, at the given distance.
 func GainMatrixBluetooth(m *phy.Model, d units.Meter, devices []energy.Device) (*Matrix, error) {
+	links := m.Characterize(d)
 	return buildMatrix(devices, func(tx, rx energy.Device) (float64, error) {
-		r, err := RunPair(m, d, tx, rx)
+		r, err := runPair(m, d, links, tx, rx)
 		if err != nil {
 			return 0, err
 		}
@@ -200,8 +207,9 @@ func GainMatrixBluetooth(m *phy.Model, d units.Meter, devices []energy.Device) (
 // GainMatrixBestMode builds the Fig. 16 matrix: Braidio vs the best of
 // its own three modes used exclusively.
 func GainMatrixBestMode(m *phy.Model, d units.Meter, devices []energy.Device) (*Matrix, error) {
+	links := m.Characterize(d)
 	return buildMatrix(devices, func(tx, rx energy.Device) (float64, error) {
-		r, err := RunPair(m, d, tx, rx)
+		r, err := runPair(m, d, links, tx, rx)
 		if err != nil {
 			return 0, err
 		}
@@ -234,7 +242,7 @@ func RunBidirectional(m *phy.Model, d units.Meter, a, b energy.Device) (*Bidirec
 
 	// Chunk size: a small slice of the projected one-way lifetime so
 	// many role swaps happen before death.
-	links := linkcache.Characterize(m, d)
+	links := m.Characterize(d)
 	alloc, err := core.Optimize(links, ba.Remaining(), bb.Remaining())
 	if err != nil {
 		return nil, err
@@ -248,6 +256,7 @@ func RunBidirectional(m *phy.Model, d units.Meter, a, b energy.Device) (*Bidirec
 	aToB := true
 	for !ba.Empty() && !bb.Empty() {
 		braid := core.NewBraid(m, d)
+		braid.Links = links
 		braid.MaxBits = chunk
 		var run *core.Result
 		var err error
@@ -300,7 +309,7 @@ func DistanceSweep(m *phy.Model, tx, rx energy.Device, distances []units.Meter) 
 				continue
 			}
 			// RunPair wraps the error; detect by probing availability.
-			if len(linkcache.Characterize(m, d)) == 0 {
+			if len(m.Characterize(d)) == 0 {
 				continue
 			}
 			return nil, err
