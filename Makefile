@@ -2,6 +2,7 @@
 # offline.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all build test vet race fuzz cover bench bench-smoke bench-diff repro csv examples clean
 
@@ -10,7 +11,10 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# vet also fails when any Go file is not gofmt-clean.
 vet:
+	@unformatted=$$($(GOFMT) -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 
 # Default test gate: vet everything, run the full suite, then re-run the

@@ -91,6 +91,24 @@ func pct(oldV, newV float64) string {
 	return fmt.Sprintf("%+.1f%%", 100*(newV-oldV)/oldV)
 }
 
+// procsWarning returns a warning line when two records were taken at
+// different GOMAXPROCS, or when either predates the field: ns/op and
+// allocs/op of parallel code are not comparable across them. It is
+// empty when both records name the same value.
+func procsWarning(oldRec, newRec *BenchRecord) string {
+	if oldRec.GOMAXPROCS == newRec.GOMAXPROCS && oldRec.GOMAXPROCS != 0 {
+		return ""
+	}
+	procs := func(r *BenchRecord) string {
+		if r.GOMAXPROCS == 0 {
+			return "unrecorded"
+		}
+		return fmt.Sprint(r.GOMAXPROCS)
+	}
+	return fmt.Sprintf("warning: baseline GOMAXPROCS=%s, new GOMAXPROCS=%s; timings may not be comparable",
+		procs(oldRec), procs(newRec))
+}
+
 // runBenchDiff compares the baseline record at oldPath against newPath
 // and prints a per-benchmark table. It returns the number of regressed
 // benchmarks; callers exit nonzero when it is positive, which is what
@@ -103,6 +121,9 @@ func runBenchDiff(oldPath, newPath string, threshold float64) (int, error) {
 	newRec, err := readBenchJSON(newPath)
 	if err != nil {
 		return 0, err
+	}
+	if w := procsWarning(oldRec, newRec); w != "" {
+		fmt.Println(w)
 	}
 	lines, onlyOld, onlyNew := diffBench(oldRec, newRec, threshold)
 	regressions := 0

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -31,10 +32,30 @@ type BenchResult struct {
 // BenchRecord is the top-level JSON document: enough context to compare
 // records across commits plus the per-benchmark results.
 type BenchRecord struct {
-	Goos    string        `json:"goos,omitempty"`
-	Goarch  string        `json:"goarch,omitempty"`
-	CPU     string        `json:"cpu,omitempty"`
+	Goos   string `json:"goos,omitempty"`   // go test's "goos:" header
+	Goarch string `json:"goarch,omitempty"` // go test's "goarch:" header
+	CPU    string `json:"cpu,omitempty"`    // go test's "cpu:" header
+	// GOMAXPROCS is the -N suffix of the first benchmark line (1 when
+	// the line has none); 0 in records written before the field existed.
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
+	// NumCPU and GoVersion describe the host and toolchain that wrote
+	// the record (runtime.NumCPU and runtime.Version at -benchjson time).
+	NumCPU    int    `json:"num_cpu,omitempty"`
+	GoVersion string `json:"go_version,omitempty"` // see NumCPU
+	// Results holds one entry per benchmark line, in output order.
 	Results []BenchResult `json:"results"`
+}
+
+// splitProcs splits go test's -N GOMAXPROCS suffix off a benchmark name
+// (Fig4-8 → Fig4, 8). A name without a numeric suffix ran at
+// GOMAXPROCS=1, which go test leaves unprinted.
+func splitProcs(name string) (string, int) {
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if n, err := strconv.Atoi(name[i+1:]); err == nil && n > 0 {
+			return name[:i], n
+		}
+	}
+	return name, 1
 }
 
 // parseBench extracts benchmark results from `go test -bench` text. It
@@ -43,7 +64,7 @@ type BenchRecord struct {
 //
 //	BenchmarkFig4-8   375   642250 ns/op   97983 B/op   166 allocs/op
 func parseBench(r io.Reader) (*BenchRecord, error) {
-	rec := &BenchRecord{}
+	rec := &BenchRecord{NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -66,9 +87,9 @@ func parseBench(r io.Reader) (*BenchRecord, error) {
 		if len(fields) < 4 || fields[3] != "ns/op" {
 			continue
 		}
-		name := strings.TrimPrefix(fields[0], "Benchmark")
-		if i := strings.LastIndexByte(name, '-'); i > 0 {
-			name = name[:i]
+		name, procs := splitProcs(strings.TrimPrefix(fields[0], "Benchmark"))
+		if rec.GOMAXPROCS == 0 {
+			rec.GOMAXPROCS = procs
 		}
 		ns, err := strconv.ParseFloat(fields[2], 64)
 		if err != nil {

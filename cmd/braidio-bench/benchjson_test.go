@@ -1,6 +1,7 @@
 package main
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -41,5 +42,49 @@ ok  	braidio	1.898s
 func TestParseBenchEmpty(t *testing.T) {
 	if _, err := parseBench(strings.NewReader("PASS\nok braidio 1s\n")); err == nil {
 		t.Fatal("empty input accepted")
+	}
+}
+
+// TestParseBenchRecordsHost checks the record names the GOMAXPROCS its
+// lines ran at (the -N suffix, 1 when absent) and the writing host.
+func TestParseBenchRecordsHost(t *testing.T) {
+	for _, tc := range []struct {
+		line  string
+		name  string
+		procs int
+	}{
+		{"BenchmarkHubHour-4   100   9800 ns/op", "HubHour", 4},
+		{"BenchmarkHubHour   100   9800 ns/op", "HubHour", 1},
+		{"BenchmarkNetFleetHour/workers=8-2   100   9800 ns/op", "NetFleetHour/workers=8", 2},
+	} {
+		rec, err := parseBench(strings.NewReader(tc.line + "\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Results[0].Name; got != tc.name || rec.GOMAXPROCS != tc.procs {
+			t.Errorf("%q: name %q GOMAXPROCS %d, want %q %d", tc.line, got, rec.GOMAXPROCS, tc.name, tc.procs)
+		}
+		if rec.NumCPU != runtime.NumCPU() || rec.GoVersion != runtime.Version() {
+			t.Errorf("%q: host NumCPU=%d GoVersion=%q", tc.line, rec.NumCPU, rec.GoVersion)
+		}
+	}
+}
+
+// TestProcsWarning checks -benchdiff warns exactly when the records'
+// GOMAXPROCS differ or the baseline predates the field.
+func TestProcsWarning(t *testing.T) {
+	for _, tc := range []struct {
+		old, new int
+		want     string
+	}{
+		{1, 1, ""},
+		{2, 2, ""},
+		{1, 2, "warning: baseline GOMAXPROCS=1, new GOMAXPROCS=2; timings may not be comparable"},
+		{0, 1, "warning: baseline GOMAXPROCS=unrecorded, new GOMAXPROCS=1; timings may not be comparable"},
+	} {
+		got := procsWarning(&BenchRecord{GOMAXPROCS: tc.old}, &BenchRecord{GOMAXPROCS: tc.new})
+		if got != tc.want {
+			t.Errorf("old %d new %d: %q, want %q", tc.old, tc.new, got, tc.want)
+		}
 	}
 }

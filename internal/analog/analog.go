@@ -211,15 +211,15 @@ func (h HighPass) Gain(f units.Hertz) float64 {
 // pump (represented by its boost and output impedance) → high-pass →
 // amplifier → comparator.
 type Chain struct {
-	SAW SAWFilter
+	SAW SAWFilter // the front-end band filter
 	// PumpBoost is the charge pump's small-signal voltage boost (2N for
 	// N stages).
 	PumpBoost float64
 	// PumpOutputImpedance at the signal bitrate's fundamental, ohms.
 	PumpOutputImpedance float64
-	HighPass            HighPass
-	Amp                 *InstAmp // nil = no amplifier (bare detector)
-	Comparator          Comparator
+	HighPass            HighPass   // blocks the detector's DC offset
+	Amp                 *InstAmp   // nil = no amplifier (bare detector)
+	Comparator          Comparator // slices the baseband into bits
 	// RequiredSNR is the post-detection SNR (linear amplitude ratio)
 	// needed for the target bit error rate; ≈4 (12 dB) for OOK at 1e-3.
 	RequiredSNR float64

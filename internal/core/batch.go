@@ -1,7 +1,6 @@
 package core
 
 import (
-	"braidio/internal/obs"
 	"braidio/internal/par"
 	"braidio/internal/phy"
 	"braidio/internal/units"
@@ -9,8 +8,8 @@ import (
 
 // BatchScratch is the shared per-round column arena of the batched
 // columnar solver: one flat structure-of-arrays workspace a round owner
-// (the serve daemon's epoch planner) resets once per round instead of round-tripping M per-member buffers through a
-// pool. Every per-slot array is either a scalar column (one entry per
+// (the serve daemon's epoch planner) resets once per round instead of
+// round-tripping M per-member buffers through a pool. Every per-slot array is either a scalar column (one entry per
 // member) or a stride-phy.NumModes row block, so batch kernels iterate
 // linearly and parallel workers write only index-owned slots — the same
 // determinism discipline as internal/par's other users: results are
@@ -19,12 +18,12 @@ import (
 // A BatchScratch is not safe for concurrent use by multiple rounds; the
 // kernels below parallelize internally across slots.
 type BatchScratch struct {
-	// Cols is the structure-of-arrays link characterization the column
-	// kernels (OptimizeBatch, SolveEq1Batch) read.
+	// Cols is the structure-of-arrays link characterization
+	// OptimizeBatch reads.
 	Cols phy.LinkColumns
 	// Dists is the distance column the characterization consumes.
 	Dists []units.Meter
-	// E1 and E2 are the per-slot budget columns the solve kernels read.
+	// E1 and E2 are the per-slot budget columns.
 	E1, E2 []units.Joule
 	// P is the fraction output, one stride-phy.NumModes row per slot;
 	// row k's live prefix is Cols.Len[k] long and sums to 1.
@@ -32,26 +31,19 @@ type BatchScratch struct {
 	// TX and RX are the mixture's average per-bit costs per slot; Bits
 	// is the deliverable payload per slot.
 	TX, RX []units.JoulesPerBit
-	Bits   []float64
+	Bits   []float64 // see TX and RX
 	// Counts and Rem are stride-phy.NumModes block-schedule scratch
 	// rows (largest-remainder counts and remainders per slot).
 	Counts []int
-	Rem    []float64
+	Rem    []float64 // see Counts
 	// Errs records per-slot solve failures (nil for solved slots).
 	Errs []error
-	// bases retains each slot's last simplex basis across rounds — the
-	// warm-start seed SolveEq1Batch hands lp.SolveWarm. Reset keeps it.
-	bases [][]int
-	// c, aRow, ones are stride-phy.NumModes Eq. (1) matrix rows.
-	c, aRow, ones []float64
 }
 
 // Reset sizes the arena for n slots, reusing every underlying array
 // when capacity allows (zero allocations in steady state). Slot outputs
 // are left stale — kernels overwrite their own slots — but Errs is
-// cleared. Retained warm-start bases survive a Reset: slot k's basis
-// keeps seeding slot k's next solve, which is exactly what a fixed
-// registration order wants.
+// cleared.
 func (s *BatchScratch) Reset(n int) {
 	flat := n * phy.NumModes
 	if cap(s.Dists) < n {
@@ -65,12 +57,6 @@ func (s *BatchScratch) Reset(n int) {
 		s.P = make([]float64, flat)
 		s.Counts = make([]int, flat)
 		s.Rem = make([]float64, flat)
-		s.c = make([]float64, flat)
-		s.aRow = make([]float64, flat)
-		s.ones = make([]float64, flat)
-		grown := make([][]int, n)
-		copy(grown, s.bases)
-		s.bases = grown
 	}
 	s.Dists = s.Dists[:n]
 	s.E1, s.E2 = s.E1[:n], s.E2[:n]
@@ -78,19 +64,8 @@ func (s *BatchScratch) Reset(n int) {
 	s.Errs = s.Errs[:n]
 	s.P = s.P[:flat]
 	s.Counts, s.Rem = s.Counts[:flat], s.Rem[:flat]
-	s.c, s.aRow, s.ones = s.c[:flat], s.aRow[:flat], s.ones[:flat]
-	s.bases = s.bases[:n]
 	for i := range s.Errs {
 		s.Errs[i] = nil
-	}
-}
-
-// InvalidateWarm drops every retained warm-start basis; the next
-// SolveEq1Batch round solves cold. Owners recycling one arena across
-// logically unrelated populations must call it.
-func (s *BatchScratch) InvalidateWarm() {
-	for i := range s.bases {
-		s.bases[i] = s.bases[i][:0]
 	}
 }
 
@@ -146,36 +121,19 @@ func parSlots(workers, n int) bool {
 // over its column row, so a slot's outputs are bit-identical to
 // Optimize on the equivalent []ModeLink at any worker count. The hot
 // path allocates nothing (gated by AllocsPerRun tests).
-func OptimizeBatch(s *BatchScratch, workers int) { s.solve(workers, false, nil) }
-
-// SolveEq1Batch runs the paper's Eq. (1) simplex solve over every slot,
-// warm-starting each from the basis its slot retained last round and
-// falling back to a cold two-phase solve when the retained basis is
-// stale or infeasible. Fractions land in P rows, mixtures in
-// TX/RX/Bits, failures (including lp.ErrInfeasible) in Errs. Warm and
-// cold solves are bit-identical (lp's canonical extraction), and each
-// slot runs SolveEq1's own row build, so the batch agrees bit-for-bit
-// with per-slot SolveEq1 at any worker count, warm or cold. rec, when
-// non-nil, counts warm starts and cold fallbacks (a first-ever solve
-// with no retained basis is neither).
-func SolveEq1Batch(s *BatchScratch, workers int, rec *obs.Recorder) { s.solve(workers, true, rec) }
-
-// solve runs one Eq. (1) decision per slot — the closed-form kernel, or
-// with simplex set the warm-started simplex solve — recording each
-// slot's failure in Errs.
-func (s *BatchScratch) solve(workers int, simplex bool, rec *obs.Recorder) {
+func OptimizeBatch(s *BatchScratch, workers int) {
 	n := s.Cols.N
 	if parSlots(workers, n) {
-		par.For(workers, n, func(k int) { s.Errs[k] = s.solveSlot(k, simplex, rec) })
+		par.For(workers, n, func(k int) { s.Errs[k] = s.optimizeSlot(k) })
 		return
 	}
 	for k := 0; k < n; k++ {
-		s.Errs[k] = s.solveSlot(k, simplex, rec)
+		s.Errs[k] = s.optimizeSlot(k)
 	}
 }
 
-// solveSlot is solve's per-slot body.
-func (s *BatchScratch) solveSlot(k int, simplex bool, rec *obs.Recorder) error {
+// optimizeSlot is OptimizeBatch's per-slot body.
+func (s *BatchScratch) optimizeSlot(k int) error {
 	base := k * phy.NumModes
 	end := base + int(s.Cols.Len[k])
 	row := costRow{s.Cols.Mode[base:end], s.Cols.T[base:end], s.Cols.R[base:end]}
@@ -183,27 +141,6 @@ func (s *BatchScratch) solveSlot(k int, simplex bool, rec *obs.Recorder) error {
 	if err := validateRow(row, e1, e2); err != nil {
 		return err
 	}
-	p := s.PRow(k)
-	if !simplex {
-		s.TX[k], s.RX[k], s.Bits[k] = enumerate(row, e1, e2, p)
-		return nil
-	}
-	basis := s.bases[k]
-	sol, warm, err := solveEq1(row, e1, e2, basis, s.c[base:end], s.aRow[base:end], s.ones[base:end])
-	if rec != nil {
-		if warm {
-			rec.LPWarmStarts.Add(1)
-		} else if len(basis) > 0 {
-			rec.LPColdFallbacks.Add(1)
-		}
-	}
-	if err != nil {
-		s.bases[k] = basis[:0]
-		return err
-	}
-	s.bases[k] = append(basis[:0], sol.Basis...)
-	copy(p, sol.X)
-	s.TX[k], s.RX[k] = mixture(row, p)
-	s.Bits[k] = bitsFor(s.TX[k], s.RX[k], e1, e2)
+	s.TX[k], s.RX[k], s.Bits[k] = enumerate(row, e1, e2, s.PRow(k))
 	return nil
 }

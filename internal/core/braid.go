@@ -101,7 +101,7 @@ type Result struct {
 	ModeBits [phy.NumModes]float64
 	// Switches counts mode transitions; SwitchEnergy1/2 their cost.
 	Switches                     int
-	SwitchEnergy1, SwitchEnergy2 units.Joule
+	SwitchEnergy1, SwitchEnergy2 units.Joule // see Switches
 	// Epochs counts allocation re-computations.
 	Epochs int
 	// LPSolves counts epochs whose allocation came from an actual

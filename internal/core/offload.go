@@ -246,7 +246,7 @@ func OptimizeInto(dst *Allocation, links []phy.ModeLink, e1, e2 units.Joule) err
 // proportionality row's entries near the simplex solver's absolute
 // pivot tolerance and lets a near-eps pivot corrupt the well-scaled
 // Σp = 1 row. Both the row (= 0) and the objective are invariant under
-// positive scaling, so solveEq1 normalizes each by its largest
+// positive scaling, so SolveEq1 normalizes each by its largest
 // magnitude.
 func scaleRowMax(row []float64) {
 	maxAbs := 0.0
@@ -262,12 +262,23 @@ func scaleRowMax(row []float64) {
 	}
 }
 
-// solveEq1 is the one Eq. (1) simplex solve behind SolveEq1 and
-// SolveEq1Batch: it builds the paper's program over a validated row into
-// c, aRow and ones (each as long as the row) — minimize Σ p_i (T_i + R_i)
-// subject to Σ p_i = 1 and Σ p_i (T_i − ratio·R_i) = 0 — and solves it
-// warm from basis (cold when basis is empty).
-func solveEq1(row costRow, e1, e2 units.Joule, basis []int, c, aRow, ones []float64) (*lp.Solution, bool, error) {
+// SolveEq1 solves the paper's Eq. 1 exactly via the simplex solver:
+// minimize total per-bit cost subject to power-proportional consumption.
+// It returns lp.ErrInfeasible when the battery ratio is outside the
+// achievable span (the regime where Optimize clamps to a pure mode).
+//
+// The program over the n links is: minimize Σ p_i (T_i + R_i) subject
+// to Σ p_i = 1 and Σ p_i (T_i − ratio·R_i) = 0, with the objective and
+// the proportionality row each normalized by scaleRowMax.
+func SolveEq1(links []phy.ModeLink, e1, e2 units.Joule) (*Allocation, error) {
+	var buf rowBuf
+	row := linkCosts(links, &buf)
+	if err := validateRow(row, e1, e2); err != nil {
+		return nil, err
+	}
+	n := len(links)
+	lpRows := make([]float64, 3*n)
+	c, aRow, ones := lpRows[:n], lpRows[n:2*n], lpRows[2*n:]
 	ratio := float64(e1) / float64(e2)
 	for i, t := range row.t {
 		r := row.r[i]
@@ -277,22 +288,7 @@ func solveEq1(row costRow, e1, e2 units.Joule, basis []int, c, aRow, ones []floa
 	}
 	scaleRowMax(aRow)
 	scaleRowMax(c)
-	return lp.SolveWarm(&lp.Problem{C: c, A: [][]float64{ones, aRow}, B: []float64{1, 0}}, basis)
-}
-
-// SolveEq1 solves the paper's Eq. 1 exactly via the simplex solver:
-// minimize total per-bit cost subject to power-proportional consumption.
-// It returns lp.ErrInfeasible when the battery ratio is outside the
-// achievable span (the regime where Optimize clamps to a pure mode).
-func SolveEq1(links []phy.ModeLink, e1, e2 units.Joule) (*Allocation, error) {
-	var buf rowBuf
-	row := linkCosts(links, &buf)
-	if err := validateRow(row, e1, e2); err != nil {
-		return nil, err
-	}
-	n := len(links)
-	lpRows := make([]float64, 3*n)
-	sol, _, err := solveEq1(row, e1, e2, nil, lpRows[:n], lpRows[n:2*n], lpRows[2*n:])
+	sol, err := lp.Solve(&lp.Problem{C: c, A: [][]float64{ones, aRow}, B: []float64{1, 0}})
 	if err != nil {
 		return nil, err
 	}

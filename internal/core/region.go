@@ -10,8 +10,8 @@ import (
 // EffPoint is one corner of the Fig. 9 / Fig. 14 feasible region: a
 // mode's transmitter and receiver energy efficiencies in bits per joule.
 type EffPoint struct {
-	Mode phy.Mode
-	Rate units.BitRate
+	Mode phy.Mode      // the mode this corner belongs to
+	Rate units.BitRate // the mode's best rate at the distance
 	// TXBitsPerJoule and RXBitsPerJoule are the axes of Fig. 9.
 	TXBitsPerJoule, RXBitsPerJoule float64
 }
@@ -27,8 +27,8 @@ func (p EffPoint) EfficiencyRatio() float64 {
 // hull of the available modes' efficiency points (the shaded triangle of
 // Fig. 9, degenerating to a line or point as modes drop out — Fig. 14).
 type Region struct {
-	Distance units.Meter
-	Points   []EffPoint
+	Distance units.Meter // the link distance the region describes
+	Points   []EffPoint  // one point per available mode
 }
 
 // RegionAt characterizes the feasible region at a distance.

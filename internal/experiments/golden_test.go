@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -67,5 +68,24 @@ func TestGoldenNotes(t *testing.T) {
 				t.Errorf("line %d:\n  got:  %q\n  want: %q", i+1, g, w)
 			}
 		}
+	}
+}
+
+// TestAblationSolverDigest pins the whole rendered ablation-solver report
+// (table and note) to its SHA-256. notes.golden holds only the note; the
+// table's per-ratio simplex bits are pinned here so a change to the
+// Eq. (1) simplex path cannot move them silently.
+func TestAblationSolverDigest(t *testing.T) {
+	const want = "d6ca252a51904dbf1e1b3412d9295452c86b4fd57f6e657510e1cbcbc1c27040"
+	rep, err := AblationSolver()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := rep.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(b.String()))); got != want {
+		t.Errorf("ablation-solver report digest %s, want %s\n%s", got, want, b.String())
 	}
 }

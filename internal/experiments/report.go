@@ -18,24 +18,24 @@ import (
 
 // NamedTable is a titled table of string cells.
 type NamedTable struct {
-	Name   string
-	Header []string
-	Rows   [][]string
+	Name   string     // the table's title
+	Header []string   // column headings
+	Rows   [][]string // cells, one slice per row
 }
 
 // NamedSeries is a titled (X, Y) curve.
 type NamedSeries struct {
-	Name string
-	Data stats.Series
+	Name string       // the curve's title
+	Data stats.Series // the curve's samples
 }
 
 // NamedMatrix is a titled labeled numeric matrix (the device-pair gain
 // heatmaps).
 type NamedMatrix struct {
-	Name      string
-	RowLabels []string
-	ColLabels []string
-	Cells     [][]float64
+	Name      string      // the matrix's title
+	RowLabels []string    // one label per row
+	ColLabels []string    // one label per column
+	Cells     [][]float64 // values, Cells[row][col]
 	// Format is the cell printf format; empty means %.3g.
 	Format string
 }
@@ -50,9 +50,9 @@ type Report struct {
 	PaperClaim string
 	// Notes carry measured headline numbers for EXPERIMENTS.md.
 	Notes    []string
-	Tables   []NamedTable
-	Series   []NamedSeries
-	Matrices []NamedMatrix
+	Tables   []NamedTable  // tabular artifacts
+	Series   []NamedSeries // curves
+	Matrices []NamedMatrix // heatmaps
 }
 
 // AddNote appends a formatted note.

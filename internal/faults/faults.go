@@ -39,7 +39,7 @@ type Env struct {
 	Time units.Second
 	// Mode and Rate identify the link the attempt uses.
 	Mode phy.Mode
-	Rate units.BitRate
+	Rate units.BitRate // see Mode
 	// FER is the frame error probability. It starts at the PHY's i.i.d.
 	// value; injectors compound extra loss into it.
 	FER float64

@@ -22,7 +22,9 @@ import (
 )
 
 // Vec2 is a position in the room plane, in meters.
-type Vec2 struct{ X, Y float64 }
+type Vec2 struct {
+	X, Y float64 // coordinates in meters
+}
 
 // Dist returns the Euclidean distance between two positions.
 func (v Vec2) Dist(o Vec2) float64 { return math.Hypot(v.X-o.X, v.Y-o.Y) }
@@ -165,8 +167,8 @@ func (s *Scene) SNRDiversity(p Vec2) units.DB {
 
 // Map is a rectangular grid of SNR values.
 type Map struct {
-	X0, Y0, X1, Y1 float64
-	NX, NY         int
+	X0, Y0, X1, Y1 float64 // the grid's corners, meters
+	NX, NY         int     // sample counts along X and Y
 	// SNR holds NY rows of NX values, row-major, SNR[iy][ix].
 	SNR [][]units.DB
 }

@@ -99,8 +99,8 @@ type Header struct {
 
 // Frame is a full decoded frame.
 type Frame struct {
-	Header  Header
-	Payload []byte
+	Header  Header // the decoded header
+	Payload []byte // the payload bytes the header describes
 }
 
 // Errors returned by Decode.

@@ -70,11 +70,11 @@ func IncidentPower(m *phy.Model, d units.Meter) units.Watt {
 // Budget compares harvest and draw for a tag at distance d backscattering
 // at the given rate.
 type Budget struct {
-	Distance  units.Meter
-	Rate      units.BitRate
-	Incident  units.Watt
-	Harvested units.Watt
-	Draw      units.Watt
+	Distance  units.Meter   // tag-to-carrier distance
+	Rate      units.BitRate // backscatter bitrate
+	Incident  units.Watt    // RF power reaching the tag's antenna
+	Harvested units.Watt    // power the harvester recovers from it
+	Draw      units.Watt    // the tag's consumption at Rate
 }
 
 // Surplus returns harvested minus drawn power; non-negative means the

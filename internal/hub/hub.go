@@ -141,7 +141,7 @@ var ErrMemberQuarantined = errors.New("hub: member quarantined")
 
 // MemberResult is one member's share of a hub run.
 type MemberResult struct {
-	Member Member
+	Member Member // the roster entry this result describes
 	// Bits delivered from the member to the hub.
 	Bits float64
 	// MemberDrain and HubDrain are the energies each side spent on this
@@ -156,7 +156,7 @@ type MemberResult struct {
 	// Err then wraps ErrMemberQuarantined and the final cause, and
 	// QuarantinedRound records when.
 	Quarantined      bool
-	QuarantinedRound int
+	QuarantinedRound int // see Quarantined
 	// Err is the member's terminal failure, nil for a healthy member.
 	Err error
 	// OutageRounds counts rounds lost to injected carrier dropouts.

@@ -137,7 +137,7 @@ type Hub struct {
 // the positions; there are no free distance parameters to disagree with
 // the geometry.
 type Topology struct {
-	Hubs []Hub
+	Hubs []Hub // the hubs, each with its members
 }
 
 // Typed validation errors. Plan and New reject malformed topologies

@@ -140,8 +140,8 @@ func TestDegenerateGeometry(t *testing.T) {
 	near := &Topology{Hubs: []Hub{{
 		Device: hubDev, Pos: field.Vec2{X: 0, Y: 0},
 		Members: []Member{
-			{Device: watch, Pos: field.Vec2{X: 1e-12, Y: 0}, Load: 1000},        // on top of the hub
-			{Device: watch, Pos: field.Vec2{X: 1e-12, Y: 1e-12}, Load: 2000},    // on top of the other member
+			{Device: watch, Pos: field.Vec2{X: 1e-12, Y: 0}, Load: 1000},       // on top of the hub
+			{Device: watch, Pos: field.Vec2{X: 1e-12, Y: 1e-12}, Load: 2000},   // on top of the other member
 			{Device: watch, Pos: field.Vec2{X: -1e-300, Y: 1e-300}, Load: 500}, // denormal offsets
 		},
 	}}}

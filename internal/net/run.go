@@ -34,8 +34,8 @@ type MemberResult struct {
 	// then wraps ErrMemberQuarantined and the final failure's reason,
 	// in that order (its Unwrap() []error returns exactly those two).
 	Quarantined      bool
-	QuarantinedRound int
-	Err              error
+	QuarantinedRound int   // see Quarantined
+	Err              error // see Quarantined
 	// OutageRounds counts rounds lost to injected carrier dropouts. It
 	// is not part of Result.Digest.
 	OutageRounds int
@@ -51,7 +51,7 @@ type HubResult struct {
 	// Exhausted reports the battery died before the horizon; DiedRound
 	// records when (-1 if it survived).
 	Exhausted bool
-	DiedRound int
+	DiedRound int // see Exhausted
 	// Replans counts commit-time re-solves against drifted budgets.
 	Replans int
 	// LPSolves and AllocReuses aggregate the braid solver counters
@@ -74,7 +74,7 @@ func (h *HubResult) TotalBits() float64 {
 type Result struct {
 	// Horizon is the wall-clock span simulated; Rounds the round count.
 	Horizon units.Second
-	Rounds  int
+	Rounds  int // see Horizon
 	// Hubs holds per-hub outcomes in topology order.
 	Hubs []HubResult
 	// Quarantines counts members removed from scheduling; Replans the
@@ -83,7 +83,7 @@ type Result struct {
 	// RelayRounds, SharedRounds, and InterferedRounds count committed
 	// member-rounds by coupling; RelayBits totals the relayed payload.
 	RelayRounds, SharedRounds, InterferedRounds int
-	RelayBits                                   float64
+	RelayBits                                   float64 // see RelayRounds
 }
 
 // TotalBits sums delivered bits across the network.
@@ -313,13 +313,10 @@ func (n *Network) Run(horizon units.Second, rounds int) (*Result, error) {
 		if !anyAlive {
 			break
 		}
-		if rec != nil {
-			// A one-hub run is an isolated star (hub.Run), not a
-			// network round.
-			if len(n.hubs) > 1 {
-				rec.NetRounds.Add(1)
-			}
-			rec.BatchRounds.Add(1)
+		// A one-hub run is an isolated star (hub.Run), not a network
+		// round.
+		if rec != nil && len(n.hubs) > 1 {
+			rec.NetRounds.Add(1)
 		}
 
 		// Phase 1: plan all slots against the immutable snapshots.

@@ -46,14 +46,13 @@ type Snapshot struct {
 	// BraidRuns..HubDeaths mirror the Recorder counters; see Recorder
 	// for per-field semantics.
 	BraidRuns, Epochs, LPSolves, AllocReuses, Switches                            uint64
-	LPWarmStarts, LPColdFallbacks, BatchRounds                                    uint64
-	FramesDelivered, FramesLost, Retransmissions, Probes, Recomputes              uint64
-	Fallbacks, FallbacksSuppressed, BackoffWaits, LinkDeaths                      uint64
-	HubRounds, MemberRounds, Replans, Quarantines, OutageRounds, HubDeaths        uint64
-	NetRounds, RelayRounds, CarrierShares, InterferedRounds                       uint64
-	ServeRegisters, ServeUpdates, ServeSheds, ServeEpochs, ServePlans, ServeClean uint64
-	ServeSnapshots, ServeRotations, ServeRecoveries, ServeTornRecords             uint64
-	ServeJournalErrors                                                            uint64
+	FramesDelivered, FramesLost, Retransmissions, Probes, Recomputes              uint64 // MAC
+	Fallbacks, FallbacksSuppressed, BackoffWaits, LinkDeaths                      uint64 // MAC
+	HubRounds, MemberRounds, Replans, Quarantines, OutageRounds, HubDeaths        uint64 // hub
+	NetRounds, RelayRounds, CarrierShares, InterferedRounds                       uint64 // net
+	ServeRegisters, ServeUpdates, ServeSheds, ServeEpochs, ServePlans, ServeClean uint64 // serve
+	ServeSnapshots, ServeRotations, ServeRecoveries, ServeTornRecords             uint64 // serve
+	ServeJournalErrors                                                            uint64 // serve
 
 	// Bits, AirTime, DrainTX, DrainRX, SwitchEnergy are the dequantized
 	// float totals; RelayBits is the 2-hop-relayed subset of Bits.
@@ -71,7 +70,11 @@ type Snapshot struct {
 	// TraceTotal and TraceRetained describe the attached tracer (zero
 	// when none).
 	TraceTotal    uint64
-	TraceRetained int
+	TraceRetained int // see TraceTotal
+
+	// LPWarmStarts and LPColdFallbacks are always zero: every simplex
+	// solve is cold. They remain only because perfbench/ reads them.
+	LPWarmStarts, LPColdFallbacks uint64
 }
 
 // Snapshot freezes the recorder's current state. Safe to call while
@@ -83,9 +86,6 @@ func (r *Recorder) Snapshot() Snapshot {
 		BraidRuns:           r.BraidRuns.Load(),
 		Epochs:              r.Epochs.Load(),
 		LPSolves:            r.LPSolves.Load(),
-		LPWarmStarts:        r.LPWarmStarts.Load(),
-		LPColdFallbacks:     r.LPColdFallbacks.Load(),
-		BatchRounds:         r.BatchRounds.Load(),
 		AllocReuses:         r.AllocReuses.Load(),
 		Switches:            r.Switches.Load(),
 		FramesDelivered:     r.FramesDelivered.Load(),
@@ -235,9 +235,6 @@ func (s *Snapshot) WriteTable(w io.Writer) error {
 		{"braid runs", fmt.Sprint(s.BraidRuns)},
 		{"epochs", fmt.Sprint(s.Epochs)},
 		{"LP solves", fmt.Sprint(s.LPSolves)},
-		{"LP warm starts", fmt.Sprint(s.LPWarmStarts)},
-		{"LP cold fallbacks", fmt.Sprint(s.LPColdFallbacks)},
-		{"batch rounds", fmt.Sprint(s.BatchRounds)},
 		{"alloc memo reuses", fmt.Sprint(s.AllocReuses)},
 		{"mode switches", fmt.Sprint(s.Switches)},
 		{"hub rounds", fmt.Sprint(s.HubRounds)},
@@ -314,9 +311,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	counter("braidio_braid_runs_total", "Completed braid engine executions.", s.BraidRuns)
 	counter("braidio_epochs_total", "Allocation epochs.", s.Epochs)
 	counter("braidio_lp_solves_total", "Offload optimizer solves.", s.LPSolves)
-	counter("braidio_lp_warm_starts_total", "Simplex solves warm-started from a prior basis.", s.LPWarmStarts)
-	counter("braidio_lp_cold_fallbacks_total", "Warm-start attempts that fell back to a cold solve.", s.LPColdFallbacks)
-	counter("braidio_batch_rounds_total", "Planning rounds solved through the batched columnar path.", s.BatchRounds)
 	counter("braidio_alloc_reuses_total", "Allocations served from the ratio memo.", s.AllocReuses)
 	counter("braidio_mode_switches_total", "Radio mode transitions.", s.Switches)
 	counter("braidio_frames_delivered_total", "MAC data frames delivered.", s.FramesDelivered)

@@ -297,9 +297,9 @@ func (m *Model) Regime(d units.Meter) Regime {
 // error rate, delivered goodput, and per-useful-bit energy costs at both
 // ends — the (T_i, R_i) of Eq. 1.
 type ModeLink struct {
-	Mode Mode
-	Rate units.BitRate
-	BER  float64
+	Mode Mode          // the mode characterized
+	Rate units.BitRate // its best rate meeting the BER target
+	BER  float64       // its bit error rate at Rate
 	// Good is the delivered payload bitrate, including framing and
 	// protocol duty efficiency (and ARQ derating when the model has
 	// Retransmit set).

@@ -93,9 +93,9 @@ var ReaderAntenna = Antenna{Gain: 2}
 
 // Link describes a one-way radio link at a carrier frequency.
 type Link struct {
-	Frequency units.Hertz
-	TXAntenna Antenna
-	RXAntenna Antenna
+	Frequency units.Hertz // carrier frequency
+	TXAntenna Antenna     // transmit-side antenna
+	RXAntenna Antenna     // receive-side antenna
 	// Model is the path-loss model; zero value means free space at
 	// Frequency.
 	Model LogDistance

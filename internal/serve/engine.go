@@ -126,7 +126,7 @@ type Plan struct {
 	// Modes and Fractions are the allocation, aligned: bit fractions
 	// per available mode, summing to 1.
 	Modes     []string  `json:"modes"`
-	Fractions []float64 `json:"fractions"`
+	Fractions []float64 `json:"fractions"` // see Modes
 	// Blocks is the largest-remainder expansion of Fractions into
 	// contiguous per-mode slot counts over the configured window.
 	Blocks []int `json:"blocks"`
@@ -175,11 +175,11 @@ type member struct {
 // versus served by their existing plan, and the deterministic digest
 // over every plan solved this epoch.
 type EpochResult struct {
-	Epoch   uint64 `json:"epoch"`
-	Applied int    `json:"applied"`
-	Planned int    `json:"planned"`
-	Clean   int    `json:"clean"`
-	Members int    `json:"members"`
+	Epoch   uint64 `json:"epoch"`   // the epoch number, 1-based
+	Applied int    `json:"applied"` // queued operations applied
+	Planned int    `json:"planned"` // members re-planned
+	Clean   int    `json:"clean"`   // members served by their existing plan
+	Members int    `json:"members"` // membership after the epoch
 	// Digest is the FNV-1a 64 hash over (epoch, id, fraction bits,
 	// blocks, bit count) of every plan solved this epoch, in
 	// registration order. Bit-identical across replays, worker counts,
@@ -367,12 +367,12 @@ func (e *Engine) PlanFor(id string) (Plan, bool) {
 
 // Stats is the engine's instantaneous state for /v1/stats.
 type Stats struct {
-	Members    int     `json:"members"`
-	Shards     int     `json:"shards"`
-	QueueDepth int     `json:"queue_depth"`
-	QueueCap   int     `json:"queue_cap"`
-	Epoch      uint64  `json:"epoch"`
-	HubEnergy  float64 `json:"hub_energy_j"`
+	Members    int     `json:"members"`      // registered members
+	Shards     int     `json:"shards"`       // member-state shards
+	QueueDepth int     `json:"queue_depth"`  // operations awaiting the next epoch
+	QueueCap   int     `json:"queue_cap"`    // admission bound
+	Epoch      uint64  `json:"epoch"`        // last completed epoch
+	HubEnergy  float64 `json:"hub_energy_j"` // hub battery budget, joules
 	// Admitted is the cumulative count of operations ever admitted,
 	// surviving restarts (recovery restores it from the snapshot and
 	// replayed tail) — an engine's exact position in an op schedule.
@@ -387,14 +387,14 @@ type Stats struct {
 	// membership — and LastPlanMillis the most recent (warm) one. Zero
 	// until an epoch has planned at least one member.
 	PlanP50Millis   float64 `json:"plan_p50_ms"`
-	PlanP99Millis   float64 `json:"plan_p99_ms"`
-	FirstPlanMillis float64 `json:"first_plan_ms"`
-	LastPlanMillis  float64 `json:"last_plan_ms"`
+	PlanP99Millis   float64 `json:"plan_p99_ms"`   // see PlanP50Millis
+	FirstPlanMillis float64 `json:"first_plan_ms"` // see PlanP50Millis
+	LastPlanMillis  float64 `json:"last_plan_ms"`  // see PlanP50Millis
 	// ApplyP50Millis and ApplyP99Millis are the same percentiles for the
 	// apply phase (queue drain through per-shard op apply). Zero until
 	// an epoch has applied at least one operation.
 	ApplyP50Millis float64 `json:"apply_p50_ms"`
-	ApplyP99Millis float64 `json:"apply_p99_ms"`
+	ApplyP99Millis float64 `json:"apply_p99_ms"` // see ApplyP50Millis
 }
 
 // planQuantile returns the q-quantile of sorted latencies in ns.
@@ -606,7 +606,6 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 	if jobsTotal > 0 {
 		if e.cfg.Rec != nil {
 			e.cfg.Rec.ServePlanLatency.Observe(planNs)
-			e.cfg.Rec.BatchRounds.Add(1)
 		}
 		e.latMu.Lock()
 		e.planLat.observe(planNs)

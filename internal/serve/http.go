@@ -24,8 +24,8 @@ import (
 // Server exposes an Engine over HTTP. Rec, when set, backs /metrics
 // and is normally the same recorder the engine counts into.
 type Server struct {
-	Engine *Engine
-	Rec    *obs.Recorder
+	Engine *Engine       // the engine served
+	Rec    *obs.Recorder // backs /metrics; may be nil
 	// EpochInterval is the daemon's epoch ticker period; shed responses
 	// derive their Retry-After from it and the queue depth, so
 	// backpressure scales with the actual drain rate. Zero falls back to
@@ -43,9 +43,9 @@ const defaultMaxBodyBytes = 64 << 20
 // DeviceRequest is the wire shape for register and update: who, how
 // much battery is left, and how far the link currently reaches.
 type DeviceRequest struct {
-	ID        string  `json:"id"`
-	EnergyJ   float64 `json:"energy_j"`
-	DistanceM float64 `json:"distance_m"`
+	ID        string  `json:"id"`         // the member's identifier
+	EnergyJ   float64 `json:"energy_j"`   // remaining battery, joules
+	DistanceM float64 `json:"distance_m"` // link distance, meters
 }
 
 // Handler returns the daemon's route table.

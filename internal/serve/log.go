@@ -26,6 +26,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -37,28 +38,28 @@ import (
 
 // record is the single flat JSONL record shape; T discriminates.
 type record struct {
-	T string `json:"t"`
+	T string `json:"t"` // record type
 
 	// op fields (t = "reg" | "upd" | "hub")
 	ID string  `json:"id,omitempty"`
-	E  float64 `json:"e,omitempty"`
-	D  float64 `json:"d,omitempty"`
+	E  float64 `json:"e,omitempty"` // member energy, joules (hub energy for "hub")
+	D  float64 `json:"d,omitempty"` // link distance, meters
 
 	// epoch fields (t = "drain" | "epoch")
 	Epoch   uint64 `json:"epoch,omitempty"`
-	Planned int    `json:"planned,omitempty"`
-	Clean   int    `json:"clean,omitempty"`
-	Members int    `json:"members,omitempty"`
-	Digest  string `json:"digest,omitempty"`
+	Planned int    `json:"planned,omitempty"` // EpochResult.Planned
+	Clean   int    `json:"clean,omitempty"`   // EpochResult.Clean
+	Members int    `json:"members,omitempty"` // EpochResult.Members
+	Digest  string `json:"digest,omitempty"`  // EpochResult.Digest
 
 	// config fields (t = "config")
 	RatioTol float64 `json:"ratio_tol,omitempty"`
-	DistTol  float64 `json:"dist_tol,omitempty"`
-	Window   int     `json:"window,omitempty"`
-	HubJ     float64 `json:"hub_j,omitempty"`
-	FadeDB   float64 `json:"fade_db,omitempty"`
-	Payload  int     `json:"payload,omitempty"`
-	QueueCap int     `json:"queue_cap,omitempty"`
+	DistTol  float64 `json:"dist_tol,omitempty"`  // Config.DistanceTolerance
+	Window   int     `json:"window,omitempty"`    // Config.Window
+	HubJ     float64 `json:"hub_j,omitempty"`     // Config.HubEnergy
+	FadeDB   float64 `json:"fade_db,omitempty"`   // Config.FadeMargin
+	Payload  int     `json:"payload,omitempty"`   // Config.PayloadLen
+	QueueCap int     `json:"queue_cap,omitempty"` // Config.QueueCap
 
 	// snapshot payload (t = "snap"; segment heads only)
 	Snap *snapshotRecord `json:"snap,omitempty"`
@@ -321,11 +322,13 @@ const replayMaxLine = 1 << 20
 // engine from its config header, re-admits every operation, re-runs
 // every epoch at the journaled boundaries, and verifies each recomputed
 // plan digest against the captured one. Any divergence — digest,
-// planned count, or membership — is an error, as is a corrupt record
-// with valid records after it. A torn tail — a trailing partial record,
-// or a trailing drain with no epoch record (daemon killed mid-epoch) —
-// is tolerated. Records are CRC-verified when framed; bare legacy JSONL
-// lines are accepted for pre-CRC captures.
+// planned count, membership, or drain numbering — is an error, as is a
+// corrupt record with valid records after it. A torn tail — a
+// trailing partial record, or a trailing drain with no epoch record
+// (daemon killed mid-epoch) — is tolerated. Records are CRC-verified
+// when framed; bare legacy JSONL lines are accepted for pre-CRC
+// captures. The records after the header replay through replayTail,
+// the loop directory recovery uses.
 func Replay(r io.Reader) (ReplayResult, error) {
 	return replayWith(r, Config{})
 }
@@ -337,89 +340,132 @@ func Replay(r io.Reader) (ReplayResult, error) {
 // workers and shards, by the determinism contract, cannot change a bit.
 func replayWith(r io.Reader, operational Config) (ReplayResult, error) {
 	lr := newLineReader(r, replayMaxLine)
-
 	var res ReplayResult
-	var eng *Engine
+	data, _, err := lr.read()
+	for err == nil && len(data) == 0 {
+		data, _, err = lr.read()
+	}
+	if err == io.EOF {
+		return res, fmt.Errorf("serve: empty journal")
+	}
+	if err != nil {
+		return res, err
+	}
+	head, err := decodeJournalLine(data, true)
+	if err != nil {
+		return res, fmt.Errorf("serve: journal line %d: config header: %w", lr.line, err)
+	}
+	if head.T != "config" {
+		return res, fmt.Errorf("serve: journal line %d: want config header, got %q", lr.line, head.T)
+	}
+	eng := NewEngine(Config{
+		Workers:           operational.Workers,
+		Shards:            operational.Shards,
+		RatioTolerance:    head.RatioTol,
+		DistanceTolerance: head.DistTol,
+		Window:            head.Window,
+		HubEnergy:         units.Joule(head.HubJ),
+		FadeMargin:        units.DB(head.FadeDB),
+		PayloadLen:        head.Payload,
+		QueueCap:          head.QueueCap,
+	})
+	tail, err := replayTail(eng, lr, "journal", true)
+	res.Epochs, res.Ops, res.Matched = tail.epochs, tail.ops, tail.matched
+	if tail.torn {
+		res.Torn++
+	}
+	return res, err
+}
+
+// tailTally is what replayTail did: operations re-admitted, drains
+// re-run with their digests, epoch records matched, and where a torn
+// tail began.
+type tailTally struct {
+	ops, epochs, matched int
+	digests              []string
+	// torn reports a tolerated torn tail starting at byte offset tornOff.
+	torn    bool
+	tornOff int64
+}
+
+// replayTail is the one replay loop behind Replay and directory
+// recovery. It runs after the head (Replay's config header, a segment's
+// snapshot) has built eng: it re-admits every record in journal order,
+// re-runs the epoch at each drain — whose number must be the engine's
+// next epoch — and demands that each epoch record match the recomputed
+// digest, planned count and membership bit for bit. A corrupt record
+// with nothing readable after it is a torn tail (crash mid-write) and
+// ends the replay cleanly; one with valid records after it is
+// pre-crash corruption and an error. where names the stream in errors;
+// allowLegacy accepts bare unframed lines (see decodeJournalLine).
+func replayTail(eng *Engine, lr *lineReader, where string, allowLegacy bool) (tailTally, error) {
+	var t tailTally
 	var pending *EpochResult
 	for {
 		data, _, err := lr.read()
 		if err == io.EOF {
-			break
+			return t, nil
 		}
+		line := lr.line
 		if err != nil {
-			return res, err
+			return t, fmt.Errorf("serve: %s line %d: %w", where, line, err)
 		}
 		if len(data) == 0 {
 			continue
 		}
-		line := lr.line
-		rec, derr := decodeJournalLine(data, true)
-		if derr != nil {
-			// A bad record is a tolerated torn tail only when nothing
-			// readable follows it; otherwise history itself is corrupt.
+		rec, err := decodeJournalLine(data, allowLegacy)
+		if err != nil {
+			off := lr.off
 			if _, _, nerr := lr.read(); nerr == io.EOF {
-				res.Torn++
-				break
+				t.torn, t.tornOff = true, off
+				return t, nil
 			}
-			return res, fmt.Errorf("serve: journal line %d: %w", line, derr)
+			return t, fmt.Errorf("serve: %s line %d: corrupt record with valid records after it: %w", where, line, err)
 		}
-		if eng == nil {
-			if rec.T != "config" {
-				return res, fmt.Errorf("serve: journal line %d: want config header, got %q", line, rec.T)
-			}
-			eng = NewEngine(Config{
-				Workers:           operational.Workers,
-				Shards:            operational.Shards,
-				RatioTolerance:    rec.RatioTol,
-				DistanceTolerance: rec.DistTol,
-				Window:            rec.Window,
-				HubEnergy:         units.Joule(rec.HubJ),
-				FadeMargin:        units.DB(rec.FadeDB),
-				PayloadLen:        rec.Payload,
-				QueueCap:          rec.QueueCap,
-			})
-			continue
-		}
-		var err2 error
 		switch rec.T {
 		case "reg":
-			err2 = eng.Register(rec.ID, units.Joule(rec.E), units.Meter(rec.D))
-			res.Ops++
+			err = eng.Register(rec.ID, units.Joule(rec.E), units.Meter(rec.D))
+			t.ops++
 		case "upd":
-			err2 = eng.Update(rec.ID, units.Joule(rec.E), units.Meter(rec.D))
-			res.Ops++
+			err = eng.Update(rec.ID, units.Joule(rec.E), units.Meter(rec.D))
+			t.ops++
 		case "hub":
-			err2 = eng.SetHubEnergy(units.Joule(rec.E))
-			res.Ops++
+			err = eng.SetHubEnergy(units.Joule(rec.E))
+			t.ops++
 		case "drain":
+			if want := eng.Stats().Epoch + 1; rec.Epoch != want {
+				return t, fmt.Errorf("serve: %s line %d: drain epoch %d, want %d", where, line, rec.Epoch, want)
+			}
 			got, _ := eng.RunEpoch() // solve errors are part of the digest
 			pending = &got
-			res.Epochs++
+			t.epochs++
+			t.digests = append(t.digests, got.Digest)
 		case "epoch":
 			if pending == nil {
-				return res, fmt.Errorf("serve: journal line %d: epoch record with no preceding drain", line)
+				return t, fmt.Errorf("serve: %s line %d: epoch record with no preceding drain", where, line)
 			}
 			if pending.Digest != rec.Digest {
-				return res, fmt.Errorf("serve: epoch %d diverged: replay digest %s, journal %s",
+				return t, fmt.Errorf("serve: epoch %d diverged: recomputed digest %s, journal %s",
 					rec.Epoch, pending.Digest, rec.Digest)
 			}
 			if pending.Planned != rec.Planned || pending.Members != rec.Members {
-				return res, fmt.Errorf("serve: epoch %d diverged: replay planned %d/%d members, journal %d/%d",
+				return t, fmt.Errorf("serve: epoch %d diverged: recomputed planned %d/%d members, journal %d/%d",
 					rec.Epoch, pending.Planned, pending.Members, rec.Planned, rec.Members)
 			}
 			pending = nil
-			res.Matched++
+			t.matched++
+		case "snap":
+			return t, fmt.Errorf("serve: %s line %d: unexpected snapshot record after the head", where, line)
 		default:
-			return res, fmt.Errorf("serve: journal line %d: unknown record type %q", line, rec.T)
+			return t, fmt.Errorf("serve: %s line %d: unknown record type %q", where, line, rec.T)
 		}
-		if err2 != nil {
-			return res, fmt.Errorf("serve: journal line %d: %w", line, err2)
+		if errors.Is(err, ErrShed) {
+			return t, fmt.Errorf("serve: %s line %d: admission shed during replay — raise the queue cap to at least the capture's: %w", where, line, err)
+		}
+		if err != nil {
+			return t, fmt.Errorf("serve: %s line %d: %w", where, line, err)
 		}
 	}
-	if eng == nil {
-		return res, fmt.Errorf("serve: empty journal")
-	}
-	return res, nil
 }
 
 // decodeJournalLine validates the CRC frame (when present) and

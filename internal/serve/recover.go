@@ -33,8 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"braidio/internal/units"
 )
 
 // RecoveryStats reports what startup recovery found and did.
@@ -42,10 +40,10 @@ type RecoveryStats struct {
 	// Segments is how many segment files the directory held at startup;
 	// BaseSegment is the index recovery restored from.
 	Segments    int `json:"segments"`
-	BaseSegment int `json:"base_segment"`
+	BaseSegment int `json:"base_segment"` // see Segments
 	// SnapshotEpoch and SnapshotMembers describe the restored snapshot.
 	SnapshotEpoch   uint64 `json:"snapshot_epoch"`
-	SnapshotMembers int    `json:"snapshot_members"`
+	SnapshotMembers int    `json:"snapshot_members"` // see SnapshotEpoch
 	// Ops counts post-snapshot operations replayed from the tail —
 	// recovery work is proportional to this, not to history length.
 	Ops int `json:"ops"`
@@ -53,13 +51,13 @@ type RecoveryStats struct {
 	// bit-for-bit against journaled epoch records (Epochs can exceed
 	// Matched by one when the crash cut the final epoch record).
 	Epochs  int `json:"epochs"`
-	Matched int `json:"matched"`
+	Matched int `json:"matched"` // see Epochs
 	// TornRecords and TornBytes quantify the truncated tail;
 	// TornSegments is 1 when the newest segment's head itself was torn
 	// (crash mid-rotation) and recovery fell back to the previous one.
 	TornRecords  int   `json:"torn_records"`
-	TornBytes    int64 `json:"torn_bytes"`
-	TornSegments int   `json:"torn_segments"`
+	TornBytes    int64 `json:"torn_bytes"`    // see TornRecords
+	TornSegments int   `json:"torn_segments"` // see TornRecords
 	// Resumed is the epoch counter after recovery; the next epoch will
 	// be Resumed+1, exactly as if the daemon had never died.
 	Resumed uint64 `json:"resumed_epoch"`
@@ -154,81 +152,17 @@ func recoverEngine(dir string, cfg Config) (*Engine, RecoveryStats, error) {
 		return nil, stats, fmt.Errorf("serve: segment %s: %w", segs[base].path, err)
 	}
 
-	// Replay the tail: re-admit in journal order, re-run each drained
-	// epoch, verify digests. Only records in this one segment matter —
+	// Replay the tail. Only records in this one segment matter —
 	// everything older is superseded by the snapshot, everything newer
 	// (at most one torn segment) was discarded above.
-	var pending *EpochResult
-	for {
-		data, _, rerr := lr.read()
-		if rerr == io.EOF {
-			break
-		}
-		line := lr.line
-		tornAt := func() {
-			stats.TornRecords++
-			stats.TornBytes += segs[base].size - lr.off
-		}
-		if rerr != nil {
-			return nil, stats, fmt.Errorf("serve: segment %s line %d: %w", segs[base].path, line, rerr)
-		}
-		if len(data) == 0 {
-			continue
-		}
-		rec, derr := decodeJournalLine(data, false)
-		if derr != nil {
-			// Torn tail only if nothing readable follows; a corrupt
-			// record with valid history after it predates the crash.
-			if _, _, nerr := lr.read(); nerr == io.EOF {
-				tornAt()
-				break
-			}
-			return nil, stats, fmt.Errorf("serve: segment %s line %d: corrupt record with valid records after it: %w", segs[base].path, line, derr)
-		}
-		var aerr error
-		switch rec.T {
-		case "reg":
-			aerr = eng.Register(rec.ID, units.Joule(rec.E), units.Meter(rec.D))
-			stats.Ops++
-		case "upd":
-			aerr = eng.Update(rec.ID, units.Joule(rec.E), units.Meter(rec.D))
-			stats.Ops++
-		case "hub":
-			aerr = eng.SetHubEnergy(units.Joule(rec.E))
-			stats.Ops++
-		case "drain":
-			if want := eng.Stats().Epoch + 1; rec.Epoch != want {
-				return nil, stats, fmt.Errorf("serve: segment %s line %d: drain epoch %d, want %d", segs[base].path, line, rec.Epoch, want)
-			}
-			got, _ := eng.RunEpoch()
-			pending = &got
-			stats.Epochs++
-			stats.Digests = append(stats.Digests, got.Digest)
-		case "epoch":
-			if pending == nil {
-				return nil, stats, fmt.Errorf("serve: segment %s line %d: epoch record with no preceding drain", segs[base].path, line)
-			}
-			if pending.Digest != rec.Digest {
-				return nil, stats, fmt.Errorf("serve: epoch %d diverged on recovery: recomputed digest %s, journal %s",
-					rec.Epoch, pending.Digest, rec.Digest)
-			}
-			if pending.Planned != rec.Planned || pending.Members != rec.Members {
-				return nil, stats, fmt.Errorf("serve: epoch %d diverged on recovery: recomputed planned %d/%d members, journal %d/%d",
-					rec.Epoch, pending.Planned, pending.Members, rec.Planned, rec.Members)
-			}
-			pending = nil
-			stats.Matched++
-		case "snap":
-			return nil, stats, fmt.Errorf("serve: segment %s line %d: unexpected snapshot record mid-segment", segs[base].path, line)
-		default:
-			return nil, stats, fmt.Errorf("serve: segment %s line %d: unknown record type %q", segs[base].path, line, rec.T)
-		}
-		if aerr != nil {
-			if errors.Is(aerr, ErrShed) {
-				return nil, stats, fmt.Errorf("serve: segment %s line %d: admission shed during recovery — raise the queue cap to at least the capture's: %w", segs[base].path, line, aerr)
-			}
-			return nil, stats, fmt.Errorf("serve: segment %s line %d: %w", segs[base].path, line, aerr)
-		}
+	tail, err := replayTail(eng, lr, "segment "+segs[base].path, false)
+	stats.Ops, stats.Epochs, stats.Matched, stats.Digests = tail.ops, tail.epochs, tail.matched, tail.digests
+	if tail.torn {
+		stats.TornRecords++
+		stats.TornBytes += segs[base].size - tail.tornOff
+	}
+	if err != nil {
+		return nil, stats, err
 	}
 	stats.Resumed = eng.Stats().Epoch
 	return eng, stats, nil

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -244,5 +246,37 @@ loop:
 	}
 	if res.Ops != writers*perWriter*2 {
 		t.Fatalf("replayed %d ops, want %d", res.Ops, writers*perWriter*2)
+	}
+}
+
+// TestReplayRejectsRenumberedDrain renumbers one drain of a captured
+// single-stream journal and re-frames it with a valid CRC: Replay must
+// check drain numbering exactly as directory recovery does, not re-run
+// the epoch under the wrong number.
+func TestReplayRejectsRenumberedDrain(t *testing.T) {
+	journal, err := os.ReadFile(filepath.Join("testdata", "pr7_single_stream.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(string(journal), "\n"), "\n")
+	renumbered := -1
+	for i, l := range lines {
+		if l[frameLen:] == `{"t":"drain","epoch":2}` {
+			lines[i] = strings.TrimSuffix(string(frameLine([]byte(`{"t":"drain","epoch":7}`))), "\n")
+			renumbered = i
+		}
+	}
+	if renumbered < 0 {
+		t.Fatal("no epoch-2 drain in the fixture")
+	}
+	res, err := Replay(strings.NewReader(strings.Join(lines, "\n") + "\n"))
+	if err == nil {
+		t.Fatalf("Replay accepted a renumbered drain: %+v", res)
+	}
+	if want := fmt.Sprintf("journal line %d: drain epoch 7, want 2", renumbered+1); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not contain %q", err, want)
+	}
+	if res.Matched != 1 {
+		t.Fatalf("Matched = %d before the renumbered drain, want 1", res.Matched)
 	}
 }

@@ -47,8 +47,8 @@ type shard struct {
 
 	// Epoch-stage scratch, reused across epochs. ops is this epoch's
 	// routed admission slice; jobs the dirty set in shard order; batch
-	// the shard's private column arena (its warm state survives epochs,
-	// which is exactly what a stable shard assignment wants).
+	// the shard's private column arena (its capacity survives epochs,
+	// so a steady-state epoch allocates no arena storage).
 	ops   []op
 	jobs  []planJob
 	batch core.BatchScratch

@@ -27,12 +27,12 @@ import (
 // they never affect plan bits and are taken from the restarting
 // daemon's own flags.
 type journalConfig struct {
-	RatioTol float64 `json:"ratio_tol,omitempty"`
-	DistTol  float64 `json:"dist_tol,omitempty"`
-	Window   int     `json:"window,omitempty"`
-	HubJ     float64 `json:"hub_j,omitempty"`
-	FadeDB   float64 `json:"fade_db,omitempty"`
-	Payload  int     `json:"payload,omitempty"`
+	RatioTol float64 `json:"ratio_tol,omitempty"` // Config.RatioTolerance
+	DistTol  float64 `json:"dist_tol,omitempty"`  // Config.DistanceTolerance
+	Window   int     `json:"window,omitempty"`    // Config.Window
+	HubJ     float64 `json:"hub_j,omitempty"`     // Config.HubEnergy
+	FadeDB   float64 `json:"fade_db,omitempty"`   // Config.FadeMargin
+	Payload  int     `json:"payload,omitempty"`   // Config.PayloadLen
 }
 
 // journalConfigOf extracts the planner-semantic fields of cfg.
@@ -61,11 +61,11 @@ func mergeConfig(caller Config, jc journalConfig) Config {
 // memberRecord is one member's snapshot state: inputs, dirty flag, and
 // the committed plan (nil when no epoch has planned it yet).
 type memberRecord struct {
-	ID    string  `json:"id"`
-	E     float64 `json:"e"`
-	D     float64 `json:"d"`
-	Dirty bool    `json:"dirty,omitempty"`
-	Plan  *Plan   `json:"plan,omitempty"`
+	ID    string  `json:"id"`              // the member's identifier
+	E     float64 `json:"e"`               // member energy, joules
+	D     float64 `json:"d"`               // link distance, meters
+	Dirty bool    `json:"dirty,omitempty"` // needs a re-plan next epoch
+	Plan  *Plan   `json:"plan,omitempty"`  // the committed plan
 }
 
 // queuedOp is one pending admission captured inside a snapshot: an
@@ -73,10 +73,10 @@ type memberRecord struct {
 // applied. The snapshot carries the queue so rotation can delete the
 // old segment — including those ops' records — without losing them.
 type queuedOp struct {
-	T  string  `json:"t"`
-	ID string  `json:"id,omitempty"`
-	E  float64 `json:"e,omitempty"`
-	D  float64 `json:"d,omitempty"`
+	T  string  `json:"t"`            // the op's journal record type
+	ID string  `json:"id,omitempty"` // the member's identifier
+	E  float64 `json:"e,omitempty"`  // energy, joules
+	D  float64 `json:"d,omitempty"`  // link distance, meters
 }
 
 // snapshotRecord is the full durable engine state at an epoch boundary.

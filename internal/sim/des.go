@@ -32,22 +32,31 @@ type Event struct {
 // eventQueue implements heap.Interface ordered by (Time, seq).
 type eventQueue []*Event
 
+// Len implements heap.Interface.
 func (q eventQueue) Len() int { return len(q) }
+
+// Less implements heap.Interface.
 func (q eventQueue) Less(i, j int) bool {
 	if q[i].Time != q[j].Time {
 		return q[i].Time < q[j].Time
 	}
 	return q[i].seq < q[j].seq
 }
+
+// Swap implements heap.Interface.
 func (q eventQueue) Swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
 	q[i].index, q[j].index = i, j
 }
+
+// Push implements heap.Interface.
 func (q *eventQueue) Push(x any) {
 	e := x.(*Event)
 	e.index = len(*q)
 	*q = append(*q, e)
 }
+
+// Pop implements heap.Interface.
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)

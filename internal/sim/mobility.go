@@ -24,8 +24,8 @@ func (s StaticWalk) DistanceAt(units.Second) units.Meter { return units.Meter(s)
 
 // LinearWalk moves from Start to End over Duration and stays there.
 type LinearWalk struct {
-	Start, End units.Meter
-	Duration   units.Second
+	Start, End units.Meter  // distances at time 0 and at Duration
+	Duration   units.Second // the walk's length
 }
 
 // DistanceAt implements Walk.

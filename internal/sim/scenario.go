@@ -28,7 +28,7 @@ type PairResult struct {
 	// BestModeBits is the best-single-mode baseline's total; BestMode
 	// identifies it.
 	BestModeBits float64
-	BestMode     phy.Mode
+	BestMode     phy.Mode // see BestModeBits
 }
 
 // GainVsBluetooth returns total-bits gain over the Bluetooth baseline
@@ -80,8 +80,8 @@ func runPair(m *phy.Model, d units.Meter, links []phy.ModeLink, tx, rx energy.De
 // the column device transmits to the row device, matching the paper's
 // "device on horizontal axis transmits to device on the vertical axis".
 type Matrix struct {
-	Devices []energy.Device
-	Cells   [][]float64
+	Devices []energy.Device // row and column order
+	Cells   [][]float64     // gains, Cells[row][col]
 }
 
 // At returns the cell for a transmitter column and receiver row by
@@ -220,7 +220,7 @@ func GainMatrixBestMode(m *phy.Model, d units.Meter, devices []energy.Device) (*
 // BidirectionalResult is the outcome of the role-swapping scenario of
 // Fig. 17.
 type BidirectionalResult struct {
-	A, B energy.Device
+	A, B energy.Device // the two devices swapping roles
 	// Bits is Braidio's total (both directions).
 	Bits float64
 	// BluetoothBits is the baseline's total.

@@ -101,8 +101,8 @@ func Percentile(xs []float64, p float64) float64 {
 
 // Histogram counts observations into equal-width bins over [min, max].
 type Histogram struct {
-	Min, Max float64
-	Counts   []int
+	Min, Max float64 // the binned range
+	Counts   []int   // observations per bin
 	under    int
 	over     int
 }
@@ -151,7 +151,9 @@ func (h *Histogram) Total() int {
 }
 
 // Point is one (X, Y) sample of a series.
-type Point struct{ X, Y float64 }
+type Point struct {
+	X, Y float64 // the sample's coordinates
+}
 
 // Series is an ordered set of samples with strictly increasing X, the
 // shape every figure's curve is reported in.
