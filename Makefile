@@ -37,9 +37,12 @@ race:
 # and single-mutation journal lines against the serve journal decoder's
 # record-or-error contract; FuzzDeviceBody covers arbitrary and
 # single-mutation /v1/register and /v1/update bodies against the device
-# endpoints' status contract and the following epoch; FuzzRecoverSegment
-# covers byte-mutated segment heads against recovery's contract (an
-# error, or a state that replays to the reference digest).
+# endpoints' status contract, the following epoch, and the replay of the
+# journal that captured them; FuzzRecoverSegment covers byte-mutated
+# segment heads against recovery's contract (an error, or a state that
+# replays to the reference digest); FuzzOpRecord covers arbitrary ids
+# and float64 bit patterns against the journal's hand-appended op
+# records, which must equal json.Marshal's bytes wherever they apply.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecode$$ -fuzztime=10s ./internal/frame
 	$(GO) test -run=NONE -fuzz=FuzzDecodeMutated -fuzztime=10s ./internal/frame
@@ -48,6 +51,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeJournalLine -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzDeviceBody -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzRecoverSegment -fuzztime=10s ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzOpRecord -fuzztime=10s ./internal/serve
 
 # Coverage floors for the paper-critical packages (offload solver, hub
 # engine, MAC, network scheduler). Set a few points below current
@@ -76,10 +80,11 @@ cover:
 # Run the benchmark suite (paper tables/figures, the waveform engine and
 # Monte Carlo sweeps, the hub/fleet engine, the serve epoch/contention
 # benchmarks, plus the network scheduler), keep the raw text, and
-# distill it into the machine-readable perf record BENCH_pr10.json.
+# distill it into the machine-readable perf record BENCH_pr10.json,
+# stamped with the commit it ran on.
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem . ./internal/hub ./internal/serve ./internal/net | tee bench_output.txt
-	$(GO) run ./cmd/braidio-bench -benchjson BENCH_pr10.json < bench_output.txt
+	$(GO) run ./cmd/braidio-bench -benchjson BENCH_pr10.json -commit "$$(git rev-parse HEAD)" < bench_output.txt
 
 # Quick compile-and-run smoke over every benchmark in the repo (one
 # iteration each); CI runs this to keep benchmarks from bit-rotting.
@@ -95,7 +100,7 @@ bench-smoke:
 # and false-positives the gate.
 bench-diff:
 	$(GO) test -run=NONE -bench=. -benchmem -benchtime=100ms . ./internal/hub ./internal/serve ./internal/net > bench_diff_output.txt
-	$(GO) run ./cmd/braidio-bench -benchjson bench_new.json < bench_diff_output.txt
+	$(GO) run ./cmd/braidio-bench -benchjson bench_new.json -commit "$$(git rev-parse HEAD)" < bench_diff_output.txt
 	$(GO) run ./cmd/braidio-bench -benchdiff BENCH_pr10.json -threshold 2.0 bench_new.json
 
 # Print every reproduced artifact to stdout.

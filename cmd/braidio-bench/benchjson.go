@@ -42,6 +42,9 @@ type BenchRecord struct {
 	// the record (runtime.NumCPU and runtime.Version at -benchjson time).
 	NumCPU    int    `json:"num_cpu,omitempty"`
 	GoVersion string `json:"go_version,omitempty"` // see NumCPU
+	// Commit is the source revision the benchmarks ran on, as passed
+	// by -commit; empty when not given.
+	Commit string `json:"commit,omitempty"`
 	// Results holds one entry per benchmark line, in output order.
 	Results []BenchResult `json:"results"`
 }
@@ -122,13 +125,14 @@ func parseBench(r io.Reader) (*BenchRecord, error) {
 	return rec, nil
 }
 
-// writeBenchJSON parses benchmark text from r and writes the JSON record
-// to path.
-func writeBenchJSON(r io.Reader, path string) error {
+// writeBenchJSON parses benchmark text from r and writes the JSON record,
+// stamped with commit, to path.
+func writeBenchJSON(r io.Reader, path, commit string) error {
 	rec, err := parseBench(r)
 	if err != nil {
 		return err
 	}
+	rec.Commit = commit
 	buf, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return err

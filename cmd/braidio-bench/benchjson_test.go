@@ -1,6 +1,7 @@
 package main
 
 import (
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -66,6 +67,25 @@ func TestParseBenchRecordsHost(t *testing.T) {
 		}
 		if rec.NumCPU != runtime.NumCPU() || rec.GoVersion != runtime.Version() {
 			t.Errorf("%q: host NumCPU=%d GoVersion=%q", tc.line, rec.NumCPU, rec.GoVersion)
+		}
+	}
+}
+
+// TestWriteBenchJSONCommit checks -benchjson records the -commit
+// revision, and that the record reads back with it.
+func TestWriteBenchJSONCommit(t *testing.T) {
+	const line = "BenchmarkHubHour-2   100   9800 ns/op\n"
+	for _, commit := range []string{"333f29b2e1d1506f22d1dc6f15de64262bc69dad", ""} {
+		path := filepath.Join(t.TempDir(), "bench.json")
+		if err := writeBenchJSON(strings.NewReader(line), path, commit); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := readBenchJSON(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Commit != commit || len(rec.Results) != 1 {
+			t.Errorf("commit %q: read back commit %q with %d results", commit, rec.Commit, len(rec.Results))
 		}
 	}
 }

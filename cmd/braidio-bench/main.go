@@ -6,7 +6,7 @@
 //	braidio-bench                 # run everything
 //	braidio-bench -exp fig15,fig9 # run a subset
 //	braidio-bench -csv out/       # also write CSV files
-//	go test -bench=. -benchmem . | braidio-bench -benchjson BENCH.json
+//	go test -bench=. -benchmem . | braidio-bench -benchjson BENCH.json -commit $(git rev-parse HEAD)
 //	braidio-bench -benchdiff old.json new.json   # regression gate
 //
 // Each experiment prints a structured report: the paper's claim, the
@@ -34,6 +34,7 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
 	csvDir := flag.String("csv", "", "also write CSV files to this directory")
 	benchJSON := flag.String("benchjson", "", "parse `go test -bench` output from stdin and write a JSON benchmark record to this file")
+	commit := flag.String("commit", "", "source revision recorded in the -benchjson record (e.g. the output of git rev-parse HEAD)")
 	benchDiff := flag.String("benchdiff", "", "baseline JSON record (from -benchjson); compares against the record named by the trailing argument and exits 1 on regression")
 	threshold := flag.Float64("threshold", 0.25, "fractional ns/op and allocs/op growth tolerated by -benchdiff before a benchmark counts as regressed")
 	metrics := flag.Bool("metrics", false, "instrument the experiment runs and print a Prometheus-style metrics exposition afterwards")
@@ -56,7 +57,7 @@ func main() {
 	}
 
 	if *benchJSON != "" {
-		if err := writeBenchJSON(os.Stdin, *benchJSON); err != nil {
+		if err := writeBenchJSON(os.Stdin, *benchJSON, *commit); err != nil {
 			fmt.Fprintf(os.Stderr, "braidio-bench: benchjson: %v\n", err)
 			os.Exit(1)
 		}

@@ -8,7 +8,12 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -81,6 +86,65 @@ func BenchmarkServeEpochWarmDrift(b *testing.B) {
 				driftEpoch(b, e, i, 0, k)
 			}
 		})
+	}
+}
+
+// BenchmarkServeAdmitBody is the daemon's write path for one request:
+// a 1000-entry /v1/update body through Server.Handler() — decode,
+// admission, and the journal's op records (on io.Discard, so only the
+// encoding is timed). The queue is drained by an untimed epoch before
+// it would shed.
+func BenchmarkServeAdmitBody(b *testing.B) {
+	const n = 1000
+	e := benchEngine(b, 1, 1, n)
+	e.AttachJournal(NewJournal(io.Discard, e.Config()))
+	reqs := make([]DeviceRequest, n)
+	for i := range reqs {
+		reqs[i] = DeviceRequest{
+			ID:        fmt.Sprintf("m%d", i),
+			EnergyJ:   (0.4 + 0.01*float64(i%40)) * 1.004,
+			DistanceM: 0.5 + 0.015*float64(i%200),
+		}
+	}
+	body, err := json.Marshal(reqs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := (&Server{Engine: e}).Handler()
+	queued := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if queued+n > e.Config().QueueCap {
+			b.StopTimer()
+			if _, err := e.RunEpoch(); err != nil {
+				b.Fatal(err)
+			}
+			queued = 0
+			b.StartTimer()
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/update", bytes.NewReader(body)))
+		if w.Code != http.StatusAccepted {
+			b.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+		queued += n
+	}
+}
+
+// BenchmarkJournalOp is one admitted operation's journal record: the
+// JSON encoding, its CRC frame, and the buffered write.
+func BenchmarkJournalOp(b *testing.B) {
+	j := NewJournal(io.Discard, testConfig(nil))
+	o := op{kind: opUpdate, id: "m48213", energy: 0.41642, distance: 2.2250000000000005}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j.mu.Lock()
+		j.opLocked(&o)
+		j.mu.Unlock()
+	}
+	if err := j.Err(); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -25,7 +25,10 @@ var deviceSeeds = []string{
 // untrusted bodies: every POST to /v1/register or /v1/update answers
 // 202, 400, 413 (body over the cap) or 503 (queue full), and the epoch
 // that follows returns a result or an error wrapping one of the
-// solver's typed failures. Nothing panics. Each input posts the raw
+// solver's typed failures. Nothing panics. A single-stream journal
+// captures the session, and Replay must reproduce its epoch digest —
+// the replay contract held over batched admission and the journal's
+// hand-appended op records on untrusted bodies. Each input posts the raw
 // bytes, then a valid seed after a single-byte flip or a truncation, to
 // both endpoints of a small server (8-op queue, 512-byte body cap, so
 // the 413 and 503 paths are reachable).
@@ -40,6 +43,9 @@ func FuzzDeviceBody(f *testing.F) {
 		cfg := testConfig(nil)
 		cfg.QueueCap = 8
 		e := NewEngine(cfg)
+		var journal bytes.Buffer
+		j := NewJournal(&journal, e.Config())
+		e.AttachJournal(j)
 		h := (&Server{Engine: e, MaxBodyBytes: 512}).Handler()
 
 		seed := []byte(deviceSeeds[int(pos)%len(deviceSeeds)])
@@ -67,6 +73,16 @@ func FuzzDeviceBody(f *testing.F) {
 		}
 		if res.Planned > res.Members {
 			t.Fatalf("epoch planned %d of %d members", res.Planned, res.Members)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatalf("journal: %v", err)
+		}
+		rep, err := Replay(&journal)
+		if err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		if rep.Matched != 1 || uint64(rep.Ops) != e.Stats().Admitted {
+			t.Fatalf("replay matched %d epochs over %d ops, want 1 over %d", rep.Matched, rep.Ops, e.Stats().Admitted)
 		}
 	})
 }

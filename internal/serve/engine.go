@@ -50,7 +50,7 @@ type Config struct {
 	// bit-identical at any shard count.
 	Shards int
 	// QueueCap bounds the admission queue; operations arriving when the
-	// queue is full are shed (Enqueue returns false, HTTP returns 503).
+	// queue is full are shed (admission returns ErrShed, HTTP 503).
 	QueueCap int
 	// RatioTolerance is the symmetric relative tolerance on the battery
 	// ratio E_hub/E_member within which a member's existing plan is
@@ -273,36 +273,73 @@ var ErrShed = errors.New("serve: admission queue full, operation shed")
 // what it cannot make durable. Also mapped to HTTP 503.
 var ErrJournalBroken = errors.New("serve: journal broken, admission refused (fail-stop)")
 
-// enqueue admits an operation or sheds it when the queue is full (or,
-// under fail-stop, when the journal is broken).
-func (e *Engine) enqueue(o op) error {
+// admit is the one admission path. It admits ops in order under a
+// single queueMu hold — and a single journal-lock hold — stopping at the
+// first op that fails validation, is shed because the queue is full,
+// or, under fail-stop, meets a broken journal. It returns how many ops
+// were admitted; a non-nil err belongs to ops[n].
+func (e *Engine) admit(ops []op) (n int, err error) {
 	e.queueMu.Lock()
-	if e.cfg.JournalFailStop && e.journal != nil {
-		if err := e.journal.Err(); err != nil {
-			e.queueMu.Unlock()
-			if e.cfg.Rec != nil {
-				e.cfg.Rec.ServeSheds.Add(1)
-			}
-			return fmt.Errorf("%w: %v", ErrJournalBroken, err)
+	defer e.queueMu.Unlock()
+	j := e.journal
+	if j != nil {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+	}
+	for i := range ops {
+		o := &ops[i]
+		if err = o.validate(); err != nil {
+			return i, err
+		}
+		if e.cfg.JournalFailStop && j != nil && j.err != nil {
+			e.countShed()
+			return i, fmt.Errorf("%w: %v", ErrJournalBroken, j.err)
+		}
+		if len(e.queue) >= e.cfg.QueueCap {
+			e.countShed()
+			return i, ErrShed
+		}
+		e.queue = append(e.queue, *o)
+		e.admitted++
+		// Journal inside the critical section: journal order must be
+		// admission order or the replay diverges.
+		if j != nil {
+			j.opLocked(o)
 		}
 	}
-	if len(e.queue) >= e.cfg.QueueCap {
-		e.queueMu.Unlock()
-		if e.cfg.Rec != nil {
-			e.cfg.Rec.ServeSheds.Add(1)
+	return len(ops), nil
+}
+
+// countShed counts one shed admission.
+func (e *Engine) countShed() {
+	if e.cfg.Rec != nil {
+		e.cfg.Rec.ServeSheds.Add(1)
+	}
+}
+
+// validate is admission's input check: a member op needs an id and a
+// positive, finite energy and distance; a hub op a positive, finite
+// energy. Nothing non-finite may reach the journal: its encoder cannot
+// spell ±Inf or NaN, and its error is sticky.
+func (o *op) validate() error {
+	if o.kind == opHub {
+		if !positiveFinite(float64(o.energy)) {
+			return fmt.Errorf("serve: non-positive or non-finite hub energy %v", float64(o.energy))
 		}
-		return ErrShed
+		return nil
 	}
-	e.queue = append(e.queue, o)
-	e.admitted++
-	// Journal inside the critical section: journal order must be
-	// admission order or the replay diverges.
-	if e.journal != nil {
-		e.journal.op(o)
+	if o.id == "" {
+		return errors.New("serve: empty member id")
 	}
-	e.queueMu.Unlock()
+	if !positiveFinite(float64(o.energy)) || !positiveFinite(float64(o.distance)) {
+		return fmt.Errorf("serve: member %q has non-positive or non-finite energy %v or distance %v",
+			o.id, float64(o.energy), float64(o.distance))
+	}
 	return nil
 }
+
+// positiveFinite reports 0 < v < +Inf (NaN fails v > 0).
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // JournalErr returns the attached journal's sticky error, nil when no
 // journal is attached or it is healthy. Surfaced by /healthz and Stats.
@@ -319,35 +356,23 @@ func (e *Engine) JournalErr() error {
 // Register admits a new member (or re-registers an existing one; the
 // later admission wins, as with any update).
 func (e *Engine) Register(id string, energy units.Joule, distance units.Meter) error {
-	if id == "" {
-		return errors.New("serve: empty member id")
-	}
-	if energy <= 0 || distance <= 0 {
-		return fmt.Errorf("serve: member %q has non-positive energy %v or distance %v", id, float64(energy), float64(distance))
-	}
-	return e.enqueue(op{kind: opRegister, id: id, energy: energy, distance: distance})
+	_, err := e.admit([]op{{kind: opRegister, id: id, energy: energy, distance: distance}})
+	return err
 }
 
 // Update admits an energy/link update for a registered member. Unknown
 // ids are rejected at apply time (counted, not fatal).
 func (e *Engine) Update(id string, energy units.Joule, distance units.Meter) error {
-	if id == "" {
-		return errors.New("serve: empty member id")
-	}
-	if energy <= 0 || distance <= 0 {
-		return fmt.Errorf("serve: member %q has non-positive energy %v or distance %v", id, float64(energy), float64(distance))
-	}
-	return e.enqueue(op{kind: opUpdate, id: id, energy: energy, distance: distance})
+	_, err := e.admit([]op{{kind: opUpdate, id: id, energy: energy, distance: distance}})
+	return err
 }
 
 // SetHubEnergy admits a hub-side budget change. Since every member's
 // ratio shares the hub term, the apply step rechecks the whole
 // membership against tolerance.
 func (e *Engine) SetHubEnergy(energy units.Joule) error {
-	if energy <= 0 {
-		return fmt.Errorf("serve: non-positive hub energy %v", float64(energy))
-	}
-	return e.enqueue(op{kind: opHub, energy: energy})
+	_, err := e.admit([]op{{kind: opHub, energy: energy}})
+	return err
 }
 
 // PlanFor returns the member's current plan. ok is false when the id is
@@ -484,63 +509,21 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 	hubE := e.hubEnergy
 	e.mu.Unlock()
 
+	// Drain and route in one queueMu critical section. The drain marker
+	// sits in it, so every journaled op unambiguously belongs to exactly
+	// one epoch; routing copies the ops out, so the queue is cleared and
+	// kept for the next epoch's admissions.
 	e.queueMu.Lock()
-	ops := e.queue
-	e.queue = make([]op, 0, e.cfg.QueueCap)
-	// The drain marker sits in the same critical section, so every
-	// journaled op unambiguously belongs to exactly one epoch.
 	journal := e.journal
 	if journal != nil {
 		journal.drain(epoch)
 	}
-	e.queueMu.Unlock()
-
 	applyStart := time.Now()
-
-	// Sequenced router: one pass over the drained queue, fanning each op
-	// to its owning shard's queue. Unknown register targets are
-	// pre-created here (live=false until their register applies) so the
-	// router is the only writer of shard maps and the global order —
-	// member seq numbers, and therefore the digest's registration-order
-	// merge, are fixed before any shard stage runs.
-	hubApplied := 0
-	finalHub := hubE
-	var newMembers []*member
-	for i := range ops {
-		o := &ops[i]
-		if o.kind == opHub {
-			// Broadcast at this admission position: every shard sees the
-			// budget change at exactly the sequence point a single-lock
-			// apply would have. Counted as applied once, here.
-			for _, s := range e.shards {
-				s.ops = append(s.ops, *o)
-			}
-			finalHub = o.energy
-			hubApplied++
-			continue
-		}
-		s := e.shardFor(o.id)
-		if o.kind == opRegister {
-			if _, found := s.members[o.id]; !found {
-				m := &member{id: o.id, seq: e.nextSeq}
-				e.nextSeq++
-				// Map insert under the shard lock: /v1/plan readers may
-				// hold the read side right now. The unlocked lookup above
-				// is safe — this router is the map's only writer.
-				s.mu.Lock()
-				s.members[o.id] = m
-				s.mu.Unlock()
-				s.order = append(s.order, m)
-				newMembers = append(newMembers, m)
-			}
-		}
-		s.ops = append(s.ops, *o)
-	}
-	if len(newMembers) > 0 {
-		e.mu.Lock()
-		e.order = append(e.order, newMembers...)
-		e.mu.Unlock()
-	}
+	drained := len(e.queue)
+	hubApplied, finalHub := e.routeLocked(e.queue, hubE)
+	clear(e.queue)
+	e.queue = e.queue[:0]
+	e.queueMu.Unlock()
 
 	// Pipelined shard stages: each shard applies its ops, plans its
 	// dirty set through its own arena, and commits — independently, so
@@ -595,7 +578,7 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 		}
 	}
 
-	if len(ops) > 0 {
+	if drained > 0 {
 		if e.cfg.Rec != nil {
 			e.cfg.Rec.ServeApplyLatency.Observe(applyNs)
 		}
@@ -639,6 +622,56 @@ func (e *Engine) RunEpoch() (EpochResult, error) {
 		}
 	}
 	return res, solveErr
+}
+
+// routeLocked is the sequenced router: one pass over the drained
+// queue, fanning each op to its owning shard's queue. Unknown register
+// targets are pre-created here (live=false until their register
+// applies) so the router is the only writer of shard maps and the
+// global order — member seq numbers, and therefore the digest's
+// registration-order merge, are fixed before any shard stage runs. It
+// returns the hub ops routed and the budget the last one set (hubE when
+// none). The caller holds e.queueMu; the router nests the shard locks
+// and e.mu inside it, the order buildSnapshot uses.
+func (e *Engine) routeLocked(ops []op, hubE units.Joule) (hubApplied int, finalHub units.Joule) {
+	finalHub = hubE
+	var newMembers []*member
+	for i := range ops {
+		o := &ops[i]
+		if o.kind == opHub {
+			// Broadcast at this admission position: every shard sees the
+			// budget change at exactly the sequence point a single-lock
+			// apply would have. Counted as applied once, here.
+			for _, s := range e.shards {
+				s.ops = append(s.ops, *o)
+			}
+			finalHub = o.energy
+			hubApplied++
+			continue
+		}
+		s := e.shardFor(o.id)
+		if o.kind == opRegister {
+			if _, found := s.members[o.id]; !found {
+				m := &member{id: o.id, seq: e.nextSeq}
+				e.nextSeq++
+				// Map insert under the shard lock: /v1/plan readers may
+				// hold the read side right now. The unlocked lookup above
+				// is safe — this router is the map's only writer.
+				s.mu.Lock()
+				s.members[o.id] = m
+				s.mu.Unlock()
+				s.order = append(s.order, m)
+				newMembers = append(newMembers, m)
+			}
+		}
+		s.ops = append(s.ops, *o)
+	}
+	if len(newMembers) > 0 {
+		e.mu.Lock()
+		e.order = append(e.order, newMembers...)
+		e.mu.Unlock()
+	}
+	return hubApplied, finalHub
 }
 
 // forEachJobInOrder walks this epoch's planned jobs across all shards

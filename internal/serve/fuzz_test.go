@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
+
+	"braidio/internal/units"
 )
 
 // journalSeeds are valid record payloads of every type the journal
@@ -74,4 +79,58 @@ func FuzzDecodeJournalLine(f *testing.F) {
 			t.Fatalf("byte flip %#x at %d accepted as a different record: %+v", flip, at, rec)
 		}
 	})
+}
+
+// FuzzOpRecord is the differential wall for the journal's hand-appended
+// op records. Whenever appendOpRecord accepts an input, its bytes must
+// equal json.Marshal of the same record; it may decline only a
+// non-ASCII id or a record json.Marshal escapes or rejects. Either way a
+// Journal writes the same framed line json.Marshal would have.
+func FuzzOpRecord(f *testing.F) {
+	for _, v := range []float64{1e-6, 1e21, 5e-324, math.Copysign(0, -1), math.MaxFloat64,
+		9.99999e-7, 1e-7, 1.5e-300, 123456789e12, 0.41642, -2.5, math.Inf(1), math.NaN()} {
+		f.Add(uint8(1), "m1", math.Float64bits(v), math.Float64bits(0.42000000000000004))
+		f.Add(uint8(2), "", math.Float64bits(v), uint64(0))
+	}
+	for _, id := range []string{"a<b", "a>b", "a&b", `a"b`, `a\b`, "é", "日本", "\u2028", "\xff",
+		"\x00", "\x1f", "\t", "\x7f", " ~"} {
+		f.Add(uint8(0), id, math.Float64bits(1), math.Float64bits(1))
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, id string, eBits, dBits uint64) {
+		o := op{kind: opKind(kind % 3), id: id,
+			energy: units.Joule(math.Float64frombits(eBits)), distance: units.Meter(math.Float64frombits(dBits))}
+		r := record{T: o.wireType(), ID: id, E: float64(o.energy), D: float64(o.distance)}
+		want, werr := json.Marshal(r)
+		got, ok := appendOpRecord(nil, r.T, r.ID, r.E, r.D)
+		switch {
+		case ok && werr != nil:
+			t.Fatalf("fast path accepted %+v, which json.Marshal rejects: %v", r, werr)
+		case ok && !bytes.Equal(got, want):
+			t.Fatalf("fast path %s, json.Marshal %s", got, want)
+		case !ok && werr == nil && isASCII(id) && bytes.Contains(want, []byte(`"id":"`+id+`"`)):
+			t.Fatalf("fast path declined %s, which needs no escaping", want)
+		}
+
+		var buf bytes.Buffer
+		j := &Journal{w: bufio.NewWriter(&buf)}
+		j.mu.Lock()
+		j.opLocked(&o)
+		j.mu.Unlock()
+		err := j.Close()
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("journal error %v, json.Marshal error %v", err, werr)
+		}
+		if err == nil && !bytes.Equal(buf.Bytes(), frameLine(want)) {
+			t.Fatalf("journal line %q, want %q", buf.Bytes(), frameLine(want))
+		}
+	})
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }

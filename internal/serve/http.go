@@ -51,8 +51,8 @@ type DeviceRequest struct {
 // Handler returns the daemon's route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/register", s.device(s.Engine.Register))
-	mux.HandleFunc("/v1/update", s.device(s.Engine.Update))
+	mux.HandleFunc("/v1/register", s.device(opRegister))
+	mux.HandleFunc("/v1/update", s.device(opUpdate))
 	mux.HandleFunc("/v1/hub", s.hub)
 	mux.HandleFunc("/v1/epoch", s.epoch)
 	mux.HandleFunc("/v1/plan", s.plan)
@@ -123,8 +123,9 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 
 // device builds the handler shared by register and update. The body is
 // one DeviceRequest or an array of them (the load generator batches
-// thousands per request); admission is all-or-error in body order.
-func (s *Server) device(admit func(string, units.Joule, units.Meter) error) http.HandlerFunc {
+// thousands per request), admitted in one engine admission pass: in
+// body order, up to the first failing entry.
+func (s *Server) device(kind opKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
@@ -151,11 +152,13 @@ func (s *Server) device(admit func(string, units.Joule, units.Meter) error) http
 			s.writeErr(w, fmt.Errorf("serve: bad request body: %w", err))
 			return
 		}
+		ops := make([]op, len(reqs))
 		for i, q := range reqs {
-			if err := admit(q.ID, units.Joule(q.EnergyJ), units.Meter(q.DistanceM)); err != nil {
-				s.writeErr(w, fmt.Errorf("entry %d: %w", i, err))
-				return
-			}
+			ops[i] = op{kind: kind, id: q.ID, energy: units.Joule(q.EnergyJ), distance: units.Meter(q.DistanceM)}
+		}
+		if i, err := s.Engine.admit(ops); err != nil {
+			s.writeErr(w, fmt.Errorf("entry %d: %w", i, err))
+			return
 		}
 		writeJSON(w, http.StatusAccepted, map[string]int{"admitted": len(reqs)})
 	}

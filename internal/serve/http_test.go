@@ -325,3 +325,51 @@ func TestHTTPJournalBroken(t *testing.T) {
 		t.Error("stats JournalError empty with broken journal")
 	}
 }
+
+// TestHTTPBodyAdmitsPrefix checks one body's admission pass keeps the
+// per-entry semantics: entries are admitted in body order up to the
+// first failing one, whose index the error names — a validation
+// failure is a 400, a shed a 503 — and the journal holds exactly the
+// admitted prefix, in body order.
+func TestHTTPBodyAdmitsPrefix(t *testing.T) {
+	cfg := testConfig(nil)
+	cfg.QueueCap = 6
+	ts, e := newTestServer(t, cfg)
+	var buf bytes.Buffer
+	j := NewJournal(&buf, e.Config())
+	e.AttachJournal(j)
+
+	body := make([]DeviceRequest, 5)
+	for i := range body {
+		body[i] = DeviceRequest{ID: fmt.Sprintf("d%d", i), EnergyJ: 1, DistanceM: 1}
+	}
+	body[3].EnergyJ = -1
+	resp, out := postJSON(t, ts.URL+"/v1/register", body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), "entry 3: ") {
+		t.Fatalf("invalid entry 3: %d %s, want 400 naming entry 3", resp.StatusCode, out)
+	}
+	if got := e.Stats().Admitted; got != 3 {
+		t.Fatalf("admitted %d after a failing entry 3, want 3", got)
+	}
+
+	body[3].EnergyJ = 1
+	resp, out = postJSON(t, ts.URL+"/v1/update", body)
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(out), "entry 3: ") {
+		t.Fatalf("queue full at entry 3: %d %s, want 503 naming entry 3", resp.StatusCode, out)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n")[1:] {
+		rec, err := decodeJournalLine([]byte(line), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, rec.T+" "+rec.ID)
+	}
+	want := "reg d0,reg d1,reg d2,upd d0,upd d1,upd d2"
+	if strings.Join(got, ",") != want {
+		t.Fatalf("journal ops %v, want %s", got, want)
+	}
+}

@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"braidio/internal/obs"
+	"braidio/internal/units"
 )
 
 // errWriter fails every write with a fixed error.
@@ -146,5 +148,51 @@ func TestReplayRejectsOverlongLine(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "journal line 2 too long") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestAdmitRejectsNonFinite checks ±Inf and NaN are refused at
+// admission, never handed to the journal: its encoder cannot spell
+// them and its error is sticky, so under fail-stop one accepted Inf
+// used to shed every later admission. The journal stays healthy, later
+// ops are admitted, and the capture replays.
+func TestAdmitRejectsNonFinite(t *testing.T) {
+	cfg := testConfig(nil)
+	cfg.JournalFailStop = true
+	e := NewEngine(cfg)
+	var buf bytes.Buffer
+	j := NewJournal(&buf, e.Config())
+	e.AttachJournal(j)
+
+	inf, nan := math.Inf(1), math.NaN()
+	for name, admit := range map[string]func() error{
+		"register +Inf distance": func() error { return e.Register("b", 1, units.Meter(inf)) },
+		"register -Inf energy":   func() error { return e.Register("b", units.Joule(-inf), 1) },
+		"update NaN energy":      func() error { return e.Update("b", units.Joule(nan), 1) },
+		"update NaN distance":    func() error { return e.Update("b", 1, units.Meter(nan)) },
+		"hub +Inf":               func() error { return e.SetHubEnergy(units.Joule(inf)) },
+		"hub NaN":                func() error { return e.SetHubEnergy(units.Joule(nan)) },
+	} {
+		err := admit()
+		if err == nil || errors.Is(err, ErrShed) || errors.Is(err, ErrJournalBroken) {
+			t.Errorf("%s: err = %v, want a validation error", name, err)
+		}
+	}
+	if err := j.Err(); err != nil {
+		t.Fatalf("journal broken by rejected input: %v", err)
+	}
+	if err := e.Register("a", 1, 1); err != nil {
+		t.Fatalf("Register after rejected input: %v", err)
+	}
+	mustEpoch(t, e)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Replay(&buf)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if rep.Ops != 1 || rep.Matched != 1 {
+		t.Fatalf("replay %+v, want 1 op and 1 matched epoch", rep)
 	}
 }

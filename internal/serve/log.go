@@ -29,7 +29,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 	"sync"
 
 	"braidio/internal/obs"
@@ -104,6 +106,8 @@ type Journal struct {
 
 	policy SyncPolicy
 	rec    *obs.Recorder
+	// line is opLocked's reused buffer: one framed op record.
+	line []byte
 
 	// directory mode (nil dir = single-stream writer mode)
 	dir      string
@@ -159,11 +163,7 @@ func (j *Journal) write(r record) {
 }
 
 func (j *Journal) writeLocked(r record) {
-	if j.err != nil {
-		// Sticky failure: count the dropped record, keep the first error.
-		if j.rec != nil {
-			j.rec.ServeJournalErrors.Add(1)
-		}
+	if j.dropped() {
 		return
 	}
 	b, err := json.Marshal(r)
@@ -171,7 +171,24 @@ func (j *Journal) writeLocked(r record) {
 		j.fail(err)
 		return
 	}
-	if _, err := j.w.Write(frameLine(b)); err != nil {
+	j.putLocked(frameLine(b))
+}
+
+// dropped reports whether the journal has failed, counting the record
+// the caller is about to drop; the first error stays sticky.
+func (j *Journal) dropped() bool {
+	if j.err == nil {
+		return false
+	}
+	if j.rec != nil {
+		j.rec.ServeJournalErrors.Add(1)
+	}
+	return true
+}
+
+// putLocked writes one framed line, fsyncing it under SyncAlways.
+func (j *Journal) putLocked(line []byte) {
+	if _, err := j.w.Write(line); err != nil {
 		j.fail(err)
 		return
 	}
@@ -221,8 +238,78 @@ func (j *Journal) Close() error {
 	return j.err
 }
 
-func (j *Journal) op(o op) {
-	j.write(record{T: o.wireType(), ID: o.id, E: float64(o.energy), D: float64(o.distance)})
+// opLocked writes one admitted op's record. The admission path holds
+// j.mu for a whole request body. The record is appended by hand into
+// the journal's line buffer and framed in place, with no per-op
+// allocation; appendOpRecord spells it byte for byte as json.Marshal
+// would, and the ids and values it declines go through json.Marshal.
+func (j *Journal) opLocked(o *op) {
+	if j.dropped() {
+		return
+	}
+	t, e, d := o.wireType(), float64(o.energy), float64(o.distance)
+	line, ok := appendOpRecord(append(j.line[:0], framePad...), t, o.id, e, d)
+	if !ok {
+		j.writeLocked(record{T: t, ID: o.id, E: e, D: d})
+		return
+	}
+	j.line = frameInPlace(line)
+	j.putLocked(j.line)
+}
+
+// appendOpRecord appends the op record {t, id, e, d} to dst exactly as
+// json.Marshal(record{T: t, ID: id, E: e, D: d}) spells it: omitempty
+// drops an empty id and zero values, and floats take encoding/json's
+// ES6 form. t must be a wire type tag. ok is false when id holds a byte
+// json.Marshal would escape (a control byte below 0x20, '"', '\', or
+// the HTML-escaped '<', '>' and '&'), any non-ASCII byte, or a value is
+// non-finite; dst is then unspecified and the caller marshals the
+// record instead.
+func appendOpRecord(dst []byte, t, id string, e, d float64) ([]byte, bool) {
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case c < 0x20 || c >= 0x80, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return dst, false
+		}
+	}
+	if !finite(e) || !finite(d) {
+		return dst, false
+	}
+	dst = append(dst, `{"t":"`...)
+	dst = append(dst, t...)
+	dst = append(dst, '"')
+	if id != "" {
+		dst = append(dst, `,"id":"`...)
+		dst = append(dst, id...)
+		dst = append(dst, '"')
+	}
+	if e != 0 {
+		dst = appendJSONFloat(append(dst, `,"e":`...), e)
+	}
+	if d != 0 {
+		dst = appendJSONFloat(append(dst, `,"d":`...), d)
+	}
+	return append(dst, '}'), true
+}
+
+func finite(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
+
+// appendJSONFloat appends a finite float64 as encoding/json does: the
+// shortest round-trip digits, in exponent form below 1e-6 or from 1e21
+// up, with a one-digit negative exponent unpadded (1e-07 → 1e-7).
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
 }
 
 func (j *Journal) drain(epoch uint64) {
@@ -258,13 +345,7 @@ func (j *Journal) wantSnapshot(epoch uint64) bool {
 func (j *Journal) snapshotRotate(snap *snapshotRecord) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.dir == "" {
-		return
-	}
-	if j.err != nil {
-		if j.rec != nil {
-			j.rec.ServeJournalErrors.Add(1)
-		}
+	if j.dir == "" || j.dropped() {
 		return
 	}
 	// Seal the current segment (nil on the very first rotation).

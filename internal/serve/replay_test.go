@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -278,5 +281,117 @@ func TestReplayRejectsRenumberedDrain(t *testing.T) {
 	}
 	if res.Matched != 1 {
 		t.Fatalf("Matched = %d before the renumbered drain, want 1", res.Matched)
+	}
+}
+
+// TestJournalConcurrentBodiesReplay races batched /v1/register and
+// /v1/update bodies from several goroutines against running epochs
+// (whose drain routes into the shards inside the admission lock) and
+// plan reads on a 4-shard engine. Each body is admitted in one pass, so
+// the journal holds every body's ops contiguously, and replay must match
+// every digest.
+func TestJournalConcurrentBodiesReplay(t *testing.T) {
+	cfg := testConfig(nil)
+	cfg.Shards = 4
+	e := NewEngine(cfg)
+	var buf bytes.Buffer
+	j := NewJournal(&buf, e.Config())
+	e.AttachJournal(j)
+	h := (&Server{Engine: e}).Handler()
+
+	const writers, bodies, perBody = 4, 5, 20
+	post := func(path string, reqs []DeviceRequest) error {
+		body, err := json.Marshal(reqs)
+		if err != nil {
+			return err
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if w.Code != http.StatusAccepted {
+			return fmt.Errorf("POST %s: %d %s", path, w.Code, w.Body)
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < bodies; b++ {
+				reqs := make([]DeviceRequest, perBody)
+				for i := range reqs {
+					reqs[i] = DeviceRequest{ID: fmt.Sprintf("w%d-%d-%d", w, b, i), EnergyJ: 1, DistanceM: 0.5 + 0.1*float64(i)}
+				}
+				if err := post("/v1/register", reqs); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range reqs {
+					reqs[i].EnergyJ = 0.5
+				}
+				if err := post("/v1/update", reqs); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { defer close(done); wg.Wait() }()
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				e.PlanFor("w0-0-0")
+			}
+		}
+	}()
+	epochs := 0
+loop:
+	for {
+		mustEpoch(t, e)
+		epochs++
+		select {
+		case <-done:
+			mustEpoch(t, e)
+			epochs++
+			break loop
+		default:
+		}
+	}
+	<-readerDone
+	if err := j.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	// Each body's ops sit contiguously in the journal.
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	for i := 1; i < len(lines); i++ {
+		rec, err := decodeJournalLine([]byte(lines[i]), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w, b, k int
+		if _, err := fmt.Sscanf(rec.ID, "w%d-%d-%d", &w, &b, &k); err != nil || k != 0 {
+			continue
+		}
+		for k = 1; k < perBody; k++ {
+			next, err := decodeJournalLine([]byte(lines[i+k]), false)
+			if err != nil || next.T != rec.T || next.ID != fmt.Sprintf("w%d-%d-%d", w, b, k) {
+				t.Fatalf("line %d: body %s %s interleaved with %+v", i+k+1, rec.T, rec.ID, next)
+			}
+		}
+	}
+
+	res, err := Replay(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if res.Matched != epochs || res.Ops != writers*bodies*perBody*2 {
+		t.Fatalf("replay matched %d epochs over %d ops, want %d over %d", res.Matched, res.Ops, epochs, writers*bodies*perBody*2)
 	}
 }

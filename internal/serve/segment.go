@@ -82,17 +82,26 @@ func (p SyncPolicy) String() string {
 // amd64/arm64) shared by framing and verification.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// frameLen is the fixed framing overhead: 8 hex CRC digits + 1 space.
-const frameLen = 9
+// framePad reserves a line's CRC frame ahead of its payload:
+// 8 hex CRC digits and a space, filled in by frameInPlace.
+const framePad = "00000000 "
+
+// frameLen is the fixed framing overhead.
+const frameLen = len(framePad)
 
 // frameLine wraps one marshalled JSON record in the CRC frame,
 // returning the full journal line including the trailing newline.
 func frameLine(payload []byte) []byte {
 	out := make([]byte, 0, len(payload)+frameLen+1)
-	out = appendCRCHex(out, crc32.Checksum(payload, crcTable))
-	out = append(out, ' ')
-	out = append(out, payload...)
-	return append(out, '\n')
+	out = append(out, framePad...)
+	return frameInPlace(append(out, payload...))
+}
+
+// frameInPlace completes a line built as framePad + payload: it writes
+// the payload's CRC over the reserved digits and appends the newline.
+func frameInPlace(line []byte) []byte {
+	appendCRCHex(line[:0], crc32.Checksum(line[frameLen:], crcTable))
+	return append(line, '\n')
 }
 
 // appendCRCHex appends exactly 8 lowercase hex digits of v.

@@ -27,7 +27,6 @@ import (
 
 	"braidio/internal/core"
 	"braidio/internal/linkcache"
-	"braidio/internal/obs"
 	"braidio/internal/par"
 	"braidio/internal/phy"
 	"braidio/internal/units"
@@ -287,13 +286,4 @@ func (r *latRing) observe(ns float64) {
 	}
 	r.count++
 	r.last = ns
-}
-
-// observeInto records the ring's state into a histogram as well; a nil
-// histogram (no recorder) skips that half.
-func observeLatency(r *latRing, h *obs.Histogram, ns float64) {
-	if h != nil {
-		h.Observe(ns)
-	}
-	r.observe(ns)
 }

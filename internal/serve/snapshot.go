@@ -181,6 +181,9 @@ func (e *Engine) restoreSnapshot(s *snapshotRecord) error {
 	if s.HubJ <= 0 {
 		return fmt.Errorf("serve: snapshot has non-positive hub energy %v", s.HubJ)
 	}
+	// queueMu before e.mu: the engine's one lock order.
+	e.queueMu.Lock()
+	defer e.queueMu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.epoch = s.Epoch
@@ -208,8 +211,6 @@ func (e *Engine) restoreSnapshot(s *snapshotRecord) error {
 		sh.order = append(sh.order, m)
 		e.order = append(e.order, m)
 	}
-	e.queueMu.Lock()
-	defer e.queueMu.Unlock()
 	e.admitted = s.Ops
 	for i, q := range s.Queue {
 		o, ok := opFromWire(q.T, q.ID, q.E, q.D)
